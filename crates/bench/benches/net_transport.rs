@@ -40,7 +40,7 @@ fn bench_settlement(c: &mut Criterion) {
     g.throughput(Throughput::Elements(n));
     g.bench_function("inproc", |b| {
         b.iter_batched(
-            || AstroOneCluster::start(4, cfg(), Duration::from_millis(1)).unwrap(),
+            || AstroOneCluster::builder(4, cfg(), Duration::from_millis(1)).start().unwrap(),
             |cluster| {
                 settle_workload(&cluster, n);
                 cluster.shutdown()

@@ -27,8 +27,8 @@ use astro_bench::json::Metric;
 use astro_core::astro1::Astro1Config;
 use astro_core::astro2::{Astro2Config, CreditMode};
 use astro_obs::{HealthConfig, HealthEngine, Registry};
-use astro_runtime::{AstroOneCluster, AstroTwoCluster};
-use astro_types::{Amount, Payment};
+use astro_runtime::{demo_keychains, AstroOneCluster, AstroTwoCluster};
+use astro_types::{Amount, Keychain, Payment};
 use std::time::{Duration, Instant};
 
 const PAYMENTS: u64 = 256;
@@ -112,7 +112,11 @@ fn run_unattached(flush: Duration, round: usize) -> Duration {
 fn run_instrumented(flush: Duration, round: usize) -> Duration {
     let _pad = pad(round);
     let registry = Registry::new();
-    let cluster = AstroOneCluster::start_tcp_observed(4, cfg(), flush, registry.clone()).unwrap();
+    let cluster = AstroOneCluster::builder(4, cfg(), flush)
+        .tcp(demo_keychains(4))
+        .registry(registry.clone())
+        .start()
+        .unwrap();
     let server = cluster.serve_metrics("127.0.0.1:0").expect("exporter binds");
     let dt = settle_round(&cluster);
     assert!(
@@ -228,7 +232,12 @@ fn run_credit_outbox(flush: Duration) -> Metric {
         credit_mode: CreditMode::Certificates,
         ..Astro2Config::default()
     };
-    let cluster = AstroTwoCluster::start_tcp_observed(4, cfg, flush, registry.clone()).unwrap();
+    let cluster = AstroTwoCluster::builder(4, cfg, flush)
+        .tcp(demo_keychains(4))
+        .signing(Keychain::deterministic_system(b"obs-overhead-signing", 4))
+        .registry(registry.clone())
+        .start()
+        .unwrap();
     // Every client pays a client of a *different* representative, so
     // each settle queues CREDIT sub-batches to a remote destination.
     for seq in 0..payments / 4 {

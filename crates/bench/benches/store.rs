@@ -109,14 +109,11 @@ fn measure_install_overhead() -> Vec<Metric> {
     let (n, trials) = if astro_bench::smoke() { (16_384, 3) } else { (20_480, 9) };
     let run = |store: &StoreConfig| -> f64 {
         let dir = scratch_dir();
-        let cluster = AstroOneCluster::start_tcp_durable_with_keychains(
-            demo_keychains(4),
-            &dir,
-            cfg(),
-            Duration::from_millis(1),
-            store.clone(),
-        )
-        .unwrap();
+        let cluster = AstroOneCluster::builder(4, cfg(), Duration::from_millis(1))
+            .tcp(demo_keychains(4))
+            .durable(&dir, store.clone())
+            .start()
+            .unwrap();
         let started = std::time::Instant::now();
         settle_workload(&cluster, n);
         let secs = started.elapsed().as_secs_f64();

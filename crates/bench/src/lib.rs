@@ -111,17 +111,23 @@ pub mod json {
         }
     }
 
-    /// Writes `BENCH_<bench>.json` into `ASTRO_BENCH_JSON_DIR` (default:
-    /// the workspace root, so the files sit beside the README regardless
-    /// of the bench binary's working directory) and returns the path.
+    /// Writes `BENCH_<bench>.json` into `ASTRO_BENCH_JSON_DIR` and returns
+    /// the path. The default is read at run time: under `cargo bench` the
+    /// process environment carries this package's `CARGO_MANIFEST_DIR`,
+    /// so the files land at the workspace root beside the README; a bench
+    /// binary run any other way writes into its working directory. (A
+    /// compile-time default would send a copied build's output into the
+    /// original checkout.)
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
     pub fn write(bench: &str, metrics: &[Metric]) -> std::io::Result<PathBuf> {
-        let dir = std::env::var("ASTRO_BENCH_JSON_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(|_| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../.."));
+        let dir =
+            std::env::var_os("ASTRO_BENCH_JSON_DIR").map(PathBuf::from).unwrap_or_else(|| {
+                std::env::var_os("CARGO_MANIFEST_DIR")
+                    .map_or_else(|| PathBuf::from("."), |d| PathBuf::from(d).join("../.."))
+            });
         let path = dir.join(format!("BENCH_{bench}.json"));
         let mut out = String::new();
         out.push_str("{\n");

@@ -298,6 +298,84 @@ pub trait Payload: Clone + Eq + core::fmt::Debug + Wire + Send + 'static {}
 
 impl<T: Clone + Eq + core::fmt::Debug + Wire + Send + 'static> Payload for T {}
 
+/// The surface a payment replica drives, shared by both BRB flavours:
+/// [`bracha::BrachaBrb`] (Astro I) and [`signed::SignedBrb`] (Astro II).
+/// Each method forwards to the flavour's inherent method of the same name.
+pub trait Broadcast {
+    /// The broadcast payload type.
+    type Payload;
+    /// The flavour's wire message type.
+    type Msg;
+
+    /// Initiates a broadcast of `payload` for instance `id`.
+    fn broadcast(&mut self, id: InstanceId, payload: Self::Payload) -> BrbStep<Self>;
+    /// Processes one message from replica `from`.
+    fn handle(&mut self, from: ReplicaId, msg: Self::Msg) -> BrbStep<Self>;
+    /// The FIFO delivery cursors (durable-state export).
+    fn delivery_cursors(&self) -> Vec<(Source, Tag)>;
+    /// Advances the FIFO cursor of `source` to at least `next` (recovery).
+    fn advance_cursor(&mut self, source: Source, next: Tag);
+    /// Advances the FIFO cursor of `source` on a live replica and returns
+    /// the completed-but-buffered deliveries the advance released.
+    fn advance_cursor_releasing(
+        &mut self,
+        source: Source,
+        next: Tag,
+    ) -> Vec<Delivery<Self::Payload>>;
+    /// One past the highest tag this replica has evidence of for
+    /// `source`'s stream.
+    fn source_high_water(&self, source: Source) -> Tag;
+    /// Prunes delivered instances; returns how many were pruned.
+    fn gc_delivered(&mut self) -> usize;
+    /// Number of receiver-side instances tracked.
+    fn tracked_instances(&self) -> usize;
+}
+
+/// The [`Step`] a [`Broadcast`] implementation returns.
+pub type BrbStep<B> = Step<<B as Broadcast>::Payload, <B as Broadcast>::Msg>;
+
+/// Implements [`Broadcast`] by forwarding to inherent methods.
+macro_rules! forward_broadcast {
+    ($ty:ty, $msg:ty, [$($gen:tt)*]) => {
+        impl<$($gen)*> Broadcast for $ty {
+            type Payload = P;
+            type Msg = $msg;
+
+            fn broadcast(&mut self, id: InstanceId, payload: P) -> Step<P, $msg> {
+                <$ty>::broadcast(self, id, payload)
+            }
+            fn handle(&mut self, from: ReplicaId, msg: $msg) -> Step<P, $msg> {
+                <$ty>::handle(self, from, msg)
+            }
+            fn delivery_cursors(&self) -> Vec<(Source, Tag)> {
+                <$ty>::delivery_cursors(self)
+            }
+            fn advance_cursor(&mut self, source: Source, next: Tag) {
+                <$ty>::advance_cursor(self, source, next);
+            }
+            fn advance_cursor_releasing(&mut self, source: Source, next: Tag) -> Vec<Delivery<P>> {
+                <$ty>::advance_cursor_releasing(self, source, next)
+            }
+            fn source_high_water(&self, source: Source) -> Tag {
+                <$ty>::source_high_water(self, source)
+            }
+            fn gc_delivered(&mut self) -> usize {
+                <$ty>::gc_delivered(self)
+            }
+            fn tracked_instances(&self) -> usize {
+                <$ty>::tracked_instances(self)
+            }
+        }
+    };
+}
+
+forward_broadcast!(bracha::BrachaBrb<P>, bracha::BrachaMsg<P>, [P: Payload]);
+forward_broadcast!(
+    signed::SignedBrb<P, A>,
+    signed::SignedMsg<P, A::Sig>,
+    [P: Payload, A: astro_types::Authenticator]
+);
+
 /// Domain-separated digest of a payload within an instance; what ECHOes
 /// count and ACKs sign.
 pub fn payload_digest<P: Payload>(id: InstanceId, payload: &P) -> [u8; 32] {

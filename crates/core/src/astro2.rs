@@ -13,23 +13,18 @@
 //! same single message step implements cross-shard payments (§V): no 2PC,
 //! no coordination on the critical path.
 
-use crate::astro1::SyncSession;
 use crate::batch::{
     credit_ack_context, credit_context, verify_certificate, CreditBundle, DepBatch, DepPayment,
     DependencyCertificate,
 };
-use crate::journal::{
-    block_counts, merge_history_blocks, split_history_blocks, Astro2Snapshot, Astro2State, Journal,
-    JournalSlot, RecoverError, SyncBlock, SyncHead, WalRecord, SYNC_HEAD_MAX_BYTES,
-};
+use crate::journal::{Astro2Snapshot, Astro2State, JournalSlot, WalRecord};
 use crate::ledger::{Ledger, SettleOutcome};
-use crate::obs::CoreObs;
 use crate::pending::PendingQueue;
-use crate::reconfig::{BlockVotes, CatchUp, ReconfigMsg, SyncError, SyncServeError};
-use crate::xlog::XLogError;
+use crate::reconfig::{ReconfigMsg, SyncError};
+use crate::replica::{Parts, Protocol, Replica};
 use crate::{ReplicaStep, SubmitError};
 use astro_brb::signed::{SignedBrb, SignedMsg};
-use astro_brb::{BrbConfig, DeliveryOrder, Envelope, InstanceId};
+use astro_brb::{BrbConfig, DeliveryOrder, Dest, Envelope, InstanceId};
 use astro_types::wire::{decode_exact, Wire, WireError};
 use astro_types::{
     Amount, Authenticator, ClientId, Group, Payment, PaymentId, ReplicaId, SeqNo, ShardId,
@@ -269,12 +264,9 @@ pub fn sig_checks(
     out
 }
 
-/// The broadcast-layer message an in-progress catch-up parks for replay.
-type ParkedBrb<A> = SignedMsg<DepBatch<<A as Authenticator>::Sig>, <A as Authenticator>::Sig>;
-
 /// CREDIT proofs gathered for one sub-batch (Listing 10's `partialDeps`).
 #[derive(Debug)]
-struct PartialBundle<S> {
+pub(crate) struct PartialBundle<S> {
     bundle: Vec<Payment>,
     proofs: HashMap<ReplicaId, S>,
     certified: bool,
@@ -299,7 +291,7 @@ const OUTBOX_MAX_TICKS: u32 = 256;
 /// representative returns a [`Astro2Msg::CreditAck`] for the digest;
 /// retransmitted on the flush timer with capped exponential backoff.
 #[derive(Debug)]
-struct OutboxEntry<S> {
+pub(crate) struct OutboxEntry<S> {
     /// The beneficiary representative the bundle is addressed to.
     dest: ReplicaId,
     /// The settled payments of the sub-batch.
@@ -310,6 +302,19 @@ struct OutboxEntry<S> {
     ticks: u32,
     /// Current backoff (doubles per retransmission, capped).
     backoff: u32,
+}
+
+impl<S: Clone> OutboxEntry<S> {
+    /// The CREDIT message (re)sent to the entry's destination.
+    fn transmission(&self) -> Envelope<Astro2Msg<S>> {
+        Envelope {
+            to: Dest::One(self.dest),
+            msg: Astro2Msg::Credit(CreditBundle {
+                bundle: self.bundle.clone(),
+                sig: self.sig.clone(),
+            }),
+        }
+    }
 }
 
 /// Certificates a replica keeps verified per process lifetime.
@@ -391,19 +396,15 @@ fn cert_digest<S: Wire>(cert: &DependencyCertificate<S>) -> [u8; 32] {
     h.finalize()
 }
 
-/// One Astro II replica.
+/// Astro II's protocol-specific part of a [`Replica`]: certificate
+/// verification across shards, the CREDIT retry outbox, and the
+/// representative's certificate store.
 #[derive(Debug)]
-pub struct AstroTwoReplica<A: Authenticator> {
-    me: ReplicaId,
-    layout: ShardLayout,
+pub struct AstroTwo<A: Authenticator> {
     my_shard: ShardId,
     /// Group per shard id (certificate verification needs every shard).
     groups: Vec<Group>,
     auth: A,
-    brb: SignedBrb<DepBatch<A::Sig>, A>,
-    ledger: Ledger,
-    /// Future-sequence payments with their attached certificates.
-    pending: PendingQueue<Vec<DependencyCertificate<A::Sig>>>,
     /// Credits already materialized (replay protection, Listing 9's
     /// `usedDeps` — payment ids are globally unique so one set suffices).
     used_deps: HashSet<PaymentId>,
@@ -415,21 +416,18 @@ pub struct AstroTwoReplica<A: Authenticator> {
     stuck: HashSet<ClientId>,
     /// Representative state: certificates awaiting the client's next
     /// outgoing payment (Listing 7's `deps`).
-    rep_deps: HashMap<ClientId, Vec<DependencyCertificate<A::Sig>>>,
+    pub(crate) rep_deps: HashMap<ClientId, Vec<DependencyCertificate<A::Sig>>>,
     /// Representative state: proofs gathered per sub-batch digest.
-    partial: HashMap<[u8; 32], PartialBundle<A::Sig>>,
+    pub(crate) partial: HashMap<[u8; 32], PartialBundle<A::Sig>>,
     /// Settling-replica state: CREDIT sub-batches awaiting their
     /// destination representative's ack, keyed by [`credit_context`]
     /// digest (a `BTreeMap` for deterministic retransmission order).
-    outbox: BTreeMap<[u8; 32], OutboxEntry<A::Sig>>,
+    pub(crate) outbox: BTreeMap<[u8; 32], OutboxEntry<A::Sig>>,
     /// Representative state: sub-batch digests owed to each settling
     /// replica as acknowledgments, batched per destination and emitted
     /// as one signed [`Astro2Msg::CreditAck`] on the next flush tick
     /// (a `BTreeMap` for deterministic emission order).
     pending_acks: BTreeMap<ReplicaId, Vec<[u8; 32]>>,
-    batch: Vec<DepPayment<A::Sig>>,
-    batch_size: usize,
-    next_tag: u64,
     mode: CreditMode,
     dep_policy: DepPolicy,
     /// Representative state: funds already promised to in-flight payments
@@ -442,123 +440,120 @@ pub struct AstroTwoReplica<A: Authenticator> {
     /// conflict-free at its single entry point. In-memory only: after a
     /// restart the ledger's `next_seq` is the correct floor.
     submitted_seq: HashMap<ClientId, SeqNo>,
-    journal: JournalSlot,
     /// Certificate consumptions awaiting the flush that makes their
     /// carrying payments durable (see [`WalRecord::CertsTaken`]).
     pending_cert_takes: Vec<(ClientId, Vec<[u8; 32]>)>,
-    /// Catch-up in progress: broadcast delivery is paused (messages park)
-    /// until a certified peer state is installed. CREDIT traffic keeps
-    /// flowing — certificates accumulate independently of the ledger.
-    syncing: Option<SyncSession<ParkedBrb<A>>>,
-    /// Metric handles, when a registry is attached (None = unobserved).
-    obs: Option<CoreObs>,
-    /// Set when a sync install made the in-memory state newer than any
-    /// journal replay can reproduce; the durable runtime consumes it and
-    /// snapshots immediately.
-    snapshot_requested: bool,
 }
 
-impl<A: Authenticator> AstroTwoReplica<A> {
-    /// Creates replica `auth.me()` within `layout`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the replica is not a member of the layout, or a shard is
-    /// smaller than 4 replicas.
-    pub fn new(auth: A, layout: ShardLayout, cfg: Astro2Config) -> Self {
+/// One Astro II replica.
+pub type AstroTwoReplica<A> = Replica<AstroTwo<A>>;
+
+impl<A: Authenticator> Protocol for AstroTwo<A> {
+    type Key = A;
+    type Config = Astro2Config;
+    type Sig = A::Sig;
+    type Msg = Astro2Msg<A::Sig>;
+    type Brb = SignedBrb<DepBatch<A::Sig>, A>;
+    type Entry = DepPayment<A::Sig>;
+    type Deps = Vec<DependencyCertificate<A::Sig>>;
+    type State = Astro2State;
+    type Snapshot = Astro2Snapshot;
+
+    /// Creates replica `auth.me()`; its broadcast group is its shard. Every
+    /// shard must have at least 4 replicas.
+    fn init(auth: A, layout: &ShardLayout, cfg: Astro2Config) -> Parts<Self> {
         let me = auth.me();
         let my_shard =
             layout.shard_of_replica(me).unwrap_or_else(|| panic!("replica {me} not in layout"));
         let groups: Vec<Group> =
             layout.shards().iter().map(|s| Group::from_spec(s).expect("shard too small")).collect();
+        let group = groups[my_shard.0 as usize].clone();
         let brb = SignedBrb::new(
             auth.clone(),
-            groups[my_shard.0 as usize].clone(),
+            group.clone(),
             BrbConfig { order: DeliveryOrder::Unordered, bind_source: true },
         );
-        AstroTwoReplica {
+        Parts {
             me,
-            layout,
-            my_shard,
-            groups,
-            auth,
+            group,
             brb,
-            ledger: Ledger::new(cfg.initial_balance),
-            pending: PendingQueue::new(),
-            used_deps: HashSet::new(),
-            cert_cache: CertCache::new(CERT_CACHE_CAP),
-            stuck: HashSet::new(),
-            rep_deps: HashMap::new(),
-            partial: HashMap::new(),
-            outbox: BTreeMap::new(),
-            pending_acks: BTreeMap::new(),
-            batch: Vec::new(),
-            batch_size: cfg.batch_size.max(1),
-            next_tag: 0,
-            mode: cfg.credit_mode,
-            dep_policy: cfg.dep_policy,
-            reserved: HashMap::new(),
-            submitted_seq: HashMap::new(),
-            journal: JournalSlot::none(),
-            pending_cert_takes: Vec::new(),
-            syncing: None,
-            obs: None,
-            snapshot_requested: false,
+            protocol: AstroTwo {
+                my_shard,
+                groups,
+                auth,
+                used_deps: HashSet::new(),
+                cert_cache: CertCache::new(CERT_CACHE_CAP),
+                stuck: HashSet::new(),
+                rep_deps: HashMap::new(),
+                partial: HashMap::new(),
+                outbox: BTreeMap::new(),
+                pending_acks: BTreeMap::new(),
+                mode: cfg.credit_mode,
+                dep_policy: cfg.dep_policy,
+                reserved: HashMap::new(),
+                submitted_seq: HashMap::new(),
+                pending_cert_takes: Vec::new(),
+            },
+            batch_size: cfg.batch_size,
+            initial_balance: cfg.initial_balance,
         }
     }
 
-    /// Attaches a journal: every subsequent state-machine effect is
-    /// recorded (see [`crate::journal::WalRecord`]).
-    pub fn set_journal(&mut self, journal: Box<dyn Journal>) {
-        self.journal.set(journal);
+    fn brb_msg(msg: SignedMsg<DepBatch<A::Sig>, A::Sig>) -> Astro2Msg<A::Sig> {
+        Astro2Msg::Brb(msg)
     }
 
-    /// Attaches metric handles: settles, catch-up progress, certificate
-    /// cache effectiveness, and payment lifecycle stamps report into them
-    /// from here on.
-    pub fn set_obs(&mut self, obs: CoreObs) {
-        self.obs = Some(obs);
+    fn sync_msg(msg: ReconfigMsg<A::Sig>) -> Astro2Msg<A::Sig> {
+        Astro2Msg::Sync(msg)
     }
 
-    /// This replica's id.
-    pub fn id(&self) -> ReplicaId {
-        self.me
+    /// Broadcast and catch-up traffic run through the shell; CREDIT
+    /// traffic keeps flowing during catch-up — certificates accumulate
+    /// independently of the ledger.
+    fn handle(
+        replica: &mut Replica<Self>,
+        from: ReplicaId,
+        msg: Astro2Msg<A::Sig>,
+    ) -> ReplicaStep<Astro2Msg<A::Sig>> {
+        match msg {
+            Astro2Msg::Brb(m) => {
+                let out = replica.on_brb(from, m);
+                if let Some(obs) = &replica.obs {
+                    // An outbound COMMIT means this replica just assembled
+                    // the 2f+1 ack quorum proof for its payload.
+                    for env in &out.outbound {
+                        if let Astro2Msg::Brb(SignedMsg::Commit { payload, .. }) = &env.msg {
+                            obs.stage_batch(
+                                payload.entries.iter().map(|e| &e.payment),
+                                astro_obs::Stage::AckQuorum,
+                            );
+                        }
+                    }
+                }
+                out
+            }
+            Astro2Msg::Credit(cb) => replica.on_credit(from, cb),
+            Astro2Msg::Sync(m) => replica.on_sync(from, m),
+            Astro2Msg::CreditAck { digests, sig } => replica.on_credit_ack(from, digests, sig),
+            Astro2Msg::CreditRequest { since } => replica.on_credit_request(from, since),
+        }
     }
 
-    /// The shard this replica belongs to.
-    pub fn shard(&self) -> ShardId {
-        self.my_shard
-    }
-
-    /// This replica's broadcast group (its shard).
-    pub fn group(&self) -> &Group {
-        &self.groups[self.my_shard.0 as usize]
-    }
-
-    /// A client submits a payment to its representative (Listing 7): the
-    /// accumulated dependency certificates ride along with it.
-    ///
-    /// # Errors
-    ///
-    /// Rejects clients this replica does not represent.
-    pub fn submit(
-        &mut self,
+    /// Gates the client's sequence number and attaches the accumulated
+    /// dependency certificates (Listing 7).
+    fn admit(
+        replica: &mut Replica<Self>,
         payment: Payment,
-    ) -> Result<ReplicaStep<Astro2Msg<A::Sig>>, SubmitError> {
-        if !self.layout.is_representative(self.me, payment.spender) {
-            return Err(SubmitError::NotRepresentative {
-                client: payment.spender,
-                representative: self.layout.representative_of(payment.spender),
-            });
-        }
+    ) -> Result<DepPayment<A::Sig>, SubmitError> {
+        let proto = &mut replica.proto;
         // At most one payment per xlog slot may ever leave this
         // representative (Listing 7 assigns sequence numbers here for the
         // same reason): the shard's broadcast delivery is unordered, so if
         // two conflicting payments at one seq both reached broadcast,
         // correct replicas could settle different winners. An equivocating
         // client's second submission dies at the door instead.
-        let floor = self.ledger.next_seq(payment.spender);
-        let gate = self.submitted_seq.entry(payment.spender).or_insert(floor);
+        let floor = replica.ledger.next_seq(payment.spender);
+        let gate = proto.submitted_seq.entry(payment.spender).or_insert(floor);
         if *gate < floor {
             // A catch-up install advanced the ledger past the gate.
             *gate = floor;
@@ -571,37 +566,343 @@ impl<A: Authenticator> AstroTwoReplica<A> {
             });
         }
         *gate = gate.next();
-        let reserved = self.reserved.entry(payment.spender).or_insert(0);
+        let reserved = proto.reserved.entry(payment.spender).or_insert(0);
         let need = reserved.saturating_add(payment.amount.0);
-        let attach = match self.dep_policy {
+        let attach = match proto.dep_policy {
             DepPolicy::Always => true,
-            DepPolicy::WhenNeeded => self.ledger.balance(payment.spender).0 < need,
+            DepPolicy::WhenNeeded => replica.ledger.balance(payment.spender).0 < need,
         };
         *reserved = need;
         let deps = if attach {
-            let taken = self.rep_deps.remove(&payment.spender).unwrap_or_default();
+            let taken = proto.rep_deps.remove(&payment.spender).unwrap_or_default();
             if !taken.is_empty() {
                 // Consumption is journaled at the *flush* that broadcasts
                 // the carrying payment, not here: a crash before the
                 // broadcast must restore the certificates (the batch is
                 // lost with them), and re-attachment after recovery is
                 // idempotent at verifiers via `usedDeps`.
-                self.pending_cert_takes
+                proto
+                    .pending_cert_takes
                     .push((payment.spender, taken.iter().map(cert_digest).collect()));
             }
             taken
         } else {
             Vec::new()
         };
-        self.batch.push(DepPayment { payment, deps });
-        // While catching up the batch only accumulates: auto-flush would
-        // burn the sync retry pacing (flush doubles as its timer), and
-        // broadcasting must wait for the certified tag floor anyway.
-        if self.syncing.is_none() && self.batch.len() >= self.batch_size {
-            Ok(self.flush())
-        } else {
-            Ok(ReplicaStep::empty())
+        Ok(DepPayment { payment, deps })
+    }
+
+    /// CREDIT retransmission rides the flush timer — and keeps running
+    /// during catch-up: the outbox serves *other* replicas' recovery,
+    /// which must not wait for ours.
+    fn tick(replica: &mut Replica<Self>, outbound: &mut Vec<Envelope<Astro2Msg<A::Sig>>>) {
+        replica.tick_outbox(outbound);
+    }
+
+    /// The batch becomes durable now: certificate consumption is
+    /// journaled ahead of the tag reservation.
+    fn seal_batch(
+        replica: &mut Replica<Self>,
+        entries: Vec<DepPayment<A::Sig>>,
+    ) -> DepBatch<A::Sig> {
+        if let Some(obs) = &replica.obs {
+            obs.stage_batch(entries.iter().map(|e| &e.payment), astro_obs::Stage::Prepare);
+            obs.cert_cache_hits.set(replica.proto.cert_cache.hits());
+            obs.cert_cache_misses.set(replica.proto.cert_cache.misses());
         }
+        for (client, digests) in std::mem::take(&mut replica.proto.pending_cert_takes) {
+            replica.journal.rec(&WalRecord::CertsTaken { client, digests });
+        }
+        DepBatch { entries }
+    }
+
+    fn apply(
+        replica: &mut Replica<Self>,
+        id: InstanceId,
+        batch: DepBatch<A::Sig>,
+        out: &mut ReplicaStep<Astro2Msg<A::Sig>>,
+    ) {
+        replica.apply_delivered(id, batch, out);
+    }
+
+    /// Certificates that fail to decode under this signature scheme are
+    /// dropped (they could never verify either).
+    fn decode_deps(bytes: &[Vec<u8>]) -> Vec<DependencyCertificate<A::Sig>> {
+        bytes.iter().filter_map(|b| decode_exact(b).ok()).collect()
+    }
+
+    fn replay(replica: &mut Replica<Self>, record: &WalRecord) {
+        let proto = &mut replica.proto;
+        match record {
+            WalRecord::DepUsed { dep } => {
+                if proto.used_deps.insert(dep.id()) {
+                    replica.ledger.credit(dep.beneficiary, dep.amount);
+                }
+            }
+            WalRecord::Stuck { client } => {
+                proto.stuck.insert(*client);
+            }
+            WalRecord::CertsTaken { client, digests } => {
+                // Consumption by content digest: removal of an absent
+                // certificate is a no-op, so any replay interleaving with
+                // Cert records (the snapshot-overlap window) converges.
+                if let Some(held) = proto.rep_deps.get_mut(client) {
+                    held.retain(|cert| !digests.contains(&cert_digest(cert)));
+                    if held.is_empty() {
+                        proto.rep_deps.remove(client);
+                    }
+                }
+            }
+            WalRecord::Cert { bytes } => {
+                let Ok(cert) = decode_exact::<DependencyCertificate<A::Sig>>(bytes) else {
+                    return;
+                };
+                let mut beneficiaries: Vec<ClientId> =
+                    cert.bundle.iter().map(|p| p.beneficiary).collect();
+                beneficiaries.sort_unstable();
+                beneficiaries.dedup();
+                for b in beneficiaries {
+                    if replica.layout.is_representative(replica.me, b) {
+                        let held = proto.rep_deps.entry(b).or_default();
+                        // Idempotent over the snapshot-overlap window.
+                        if !held.contains(&cert) {
+                            held.push(cert.clone());
+                        }
+                    }
+                }
+            }
+            WalRecord::CreditOut { dest, bundle } => {
+                proto.restore_outbox_entry(*dest, bundle.clone());
+            }
+            WalRecord::CreditAcked { digest } => {
+                proto.outbox.remove(digest);
+            }
+            WalRecord::Delivered { .. }
+            | WalRecord::Settle { .. }
+            | WalRecord::Queued { .. }
+            | WalRecord::OwnTag { .. } => {}
+        }
+    }
+
+    /// Settlement state, approval queue, dependency replay-protection,
+    /// stuck set, held certificates, retry outbox, broadcast tag counter,
+    /// and BRB cursors. The shared settlement state is canonical; the
+    /// certificate section is representative-local by construction.
+    fn export_state(replica: &Replica<Self>) -> Astro2State {
+        let proto = &replica.proto;
+        let mut used_deps: Vec<PaymentId> = proto.used_deps.iter().copied().collect();
+        used_deps.sort_unstable();
+        let mut stuck: Vec<ClientId> = proto.stuck.iter().copied().collect();
+        stuck.sort_unstable();
+        // Certificates attached to the *unflushed* batch are not durably
+        // consumed yet — `CertsTaken` is journaled at flush. Export them
+        // as still held: a crash before the flush then restores them
+        // instead of destroying them with the lost batch, and a
+        // `CertsTaken` that post-dates this snapshot removes exactly them
+        // on replay (consumption is by content digest).
+        let mut certs_map: HashMap<ClientId, Vec<Vec<u8>>> = HashMap::new();
+        for entry in &replica.batch {
+            if !entry.deps.is_empty() {
+                certs_map
+                    .entry(entry.payment.spender)
+                    .or_default()
+                    .extend(entry.deps.iter().map(Wire::to_wire_bytes));
+            }
+        }
+        for (client, held) in &proto.rep_deps {
+            certs_map.entry(*client).or_default().extend(held.iter().map(Wire::to_wire_bytes));
+        }
+        let mut certs: Vec<(ClientId, Vec<Vec<u8>>)> = certs_map.into_iter().collect();
+        certs.sort_unstable_by_key(|(c, _)| *c);
+        // Outbox iteration is digest-ordered; the stable sort yields the
+        // canonical (destination, digest) order.
+        let mut outbox: Vec<(ReplicaId, Vec<Payment>)> =
+            proto.outbox.values().map(|e| (e.dest, e.bundle.clone())).collect();
+        outbox.sort_by_key(|(dest, _)| *dest);
+        Astro2State {
+            ledger: replica.ledger.export(),
+            pending: replica
+                .pending
+                .entries()
+                .into_iter()
+                .map(|(p, deps)| (*p, deps.iter().map(Wire::to_wire_bytes).collect()))
+                .collect(),
+            used_deps,
+            stuck,
+            certs,
+            outbox,
+            next_tag: replica.next_tag,
+            cursors: replica.brb.delivery_cursors(),
+        }
+    }
+
+    /// Everything outside the ledger (which the checkpoint segments
+    /// reconstruct in full at seal time).
+    fn residual_state(replica: &Replica<Self>, sealed_segments: u64) -> Astro2Snapshot {
+        let full = Self::export_state(replica);
+        Astro2Snapshot {
+            sealed_segments,
+            pending: full.pending,
+            used_deps: full.used_deps,
+            stuck: full.stuck,
+            certs: full.certs,
+            outbox: full.outbox,
+            next_tag: full.next_tag,
+            cursors: full.cursors,
+        }
+    }
+
+    /// In-flight state that is deliberately not durable — partial CREDIT
+    /// proof sets below the certificate threshold and in-flight balance
+    /// reservations — restarts empty.
+    fn restore_state(replica: &mut Replica<Self>, state: &Astro2State) {
+        replica.restore_sections(
+            &state.pending,
+            &state.used_deps,
+            &state.stuck,
+            &state.certs,
+            &state.outbox,
+        );
+    }
+
+    fn restore_residual(replica: &mut Replica<Self>, residual: &Astro2Snapshot) {
+        replica.restore_sections(
+            &residual.pending,
+            &residual.used_deps,
+            &residual.stuck,
+            &residual.certs,
+            &residual.outbox,
+        );
+    }
+
+    /// Materialized dependencies and stuck marks must be supersets of the
+    /// local state, or a dependency could re-materialize — a double
+    /// credit.
+    fn check_install(replica: &Replica<Self>, state: &Astro2State) -> Result<(), SyncError> {
+        let certified_deps: HashSet<PaymentId> = state.used_deps.iter().copied().collect();
+        let certified_stuck: HashSet<ClientId> = state.stuck.iter().copied().collect();
+        if !replica.proto.used_deps.is_subset(&certified_deps)
+            || !replica.proto.stuck.is_subset(&certified_stuck)
+        {
+            return Err(SyncError::Stale);
+        }
+        Ok(())
+    }
+
+    /// The representative-local certificate store is untouched by the
+    /// transfer itself: certificates are re-formed from CREDIT traffic —
+    /// donors retain unacked bundles in their retry outboxes, and the
+    /// `CreditRequest` fan-out of [`Protocol::rejoined`] makes them replay
+    /// anything this store is still missing.
+    fn install_state(replica: &mut Replica<Self>, state: &Astro2State) {
+        replica.proto.used_deps = state.used_deps.iter().copied().collect();
+        replica.proto.stuck = state.stuck.iter().copied().collect();
+        replica.pending = PendingQueue::new();
+        replica.queue_all(&state.pending);
+    }
+
+    /// Rebuilds the certificate store: asks every potential donor to
+    /// replay CREDITs that died with the link while this replica was down
+    /// (or that it certified and then lost non-durably).
+    fn rejoined(replica: &Replica<Self>, outbound: &mut Vec<Envelope<Astro2Msg<A::Sig>>>) {
+        outbound.extend(replica.credit_request_envelopes());
+    }
+}
+
+impl<A: Authenticator> AstroTwo<A> {
+    /// Re-creates one retry-outbox entry from recovered `(dest, bundle)`
+    /// data, re-signing with this replica's key (signatures are not
+    /// persisted). Due for immediate retransmission; idempotent over the
+    /// snapshot/WAL overlap window.
+    fn restore_outbox_entry(&mut self, dest: ReplicaId, bundle: Vec<Payment>) {
+        let context = credit_context(&bundle);
+        let key: [u8; 32] = context.as_slice().try_into().expect("sha256 digest");
+        if self.outbox.contains_key(&key) {
+            return;
+        }
+        let sig = self.auth.sign(&context);
+        self.outbox
+            .insert(key, OutboxEntry { dest, bundle, sig, ticks: 0, backoff: OUTBOX_BASE_TICKS });
+    }
+
+    /// One settle attempt for a payment with its dependencies. Free of
+    /// the shell's queue so the pending-queue cascade can call it while
+    /// the queue itself is mutably borrowed.
+    fn settle(
+        &mut self,
+        ledger: &mut Ledger,
+        journal: &mut JournalSlot,
+        layout: &ShardLayout,
+        p: &Payment,
+        deps: &[DependencyCertificate<A::Sig>],
+    ) -> SettleOutcome {
+        let next = ledger.next_seq(p.spender);
+        if p.seq > next {
+            return SettleOutcome::FutureSeq;
+        }
+        if p.seq < next {
+            return SettleOutcome::StaleSeq;
+        }
+        if self.stuck.contains(&p.spender) {
+            // The xlog is stuck (Listing 9's early return dropped a
+            // payment); successors can never settle.
+            return SettleOutcome::StaleSeq;
+        }
+        // Materialize dependencies (Listing 9: `newDeps`, `usedDeps`,
+        // `bal += balanceOf(newDeps)`) — before the funds check, and kept
+        // even if the payment is then rejected.
+        for cert in deps {
+            let Some(first) = cert.bundle.first() else { continue };
+            let settling_shard = layout.shard_of_client(first.spender);
+            if !cert.bundle.iter().all(|d| layout.shard_of_client(d.spender) == settling_shard) {
+                continue;
+            }
+            let group = &self.groups[settling_shard.0 as usize];
+            // One signature-verification pass per certificate per replica:
+            // a cache hit (content digest over bundle *and* proofs) skips
+            // the f+1 signature checks; only fully verified certs are
+            // admitted.
+            let digest = cert_digest(cert);
+            if self.cert_cache.contains(&digest) {
+                self.cert_cache.hits += 1;
+            } else {
+                self.cert_cache.misses += 1;
+                if !verify_certificate(cert, group, &self.auth) {
+                    continue;
+                }
+                self.cert_cache.admit(digest);
+            }
+            for d in cert.credits_for(p.spender) {
+                if self.used_deps.insert(d.id()) {
+                    journal.rec(&WalRecord::DepUsed { dep: *d });
+                    ledger.credit(p.spender, d.amount);
+                }
+            }
+        }
+        let direct_credit = self.mode == CreditMode::DirectIntraShard
+            && layout.shard_of_client(p.beneficiary) == self.my_shard;
+        match ledger.settle(p, direct_credit) {
+            SettleOutcome::InsufficientFunds if self.mode == CreditMode::Certificates => {
+                // Listing 9's `if bal[Alice] < x: return` — the payment is
+                // dropped at every correct replica identically, and the
+                // xlog can never advance past this gap.
+                journal.rec(&WalRecord::Stuck { client: p.spender });
+                self.stuck.insert(p.spender);
+                SettleOutcome::StaleSeq
+            }
+            SettleOutcome::Applied => {
+                journal.rec(&WalRecord::Settle { payment: *p, credit_beneficiary: direct_credit });
+                SettleOutcome::Applied
+            }
+            outcome => outcome,
+        }
+    }
+}
+
+impl<A: Authenticator> Replica<AstroTwo<A>> {
+    /// The shard this replica belongs to.
+    pub fn shard(&self) -> ShardId {
+        self.proto.my_shard
     }
 
     /// Enqueues a payment with explicitly chosen dependency certificates
@@ -618,86 +919,12 @@ impl<A: Authenticator> AstroTwoReplica<A> {
         self.flush()
     }
 
-    /// Broadcasts the accumulated batch within the shard, if any.
-    ///
-    /// While a catch-up is in progress the batch stays parked (no
-    /// broadcast may leave before the certified tag floor is known) and
-    /// the flush timer paces the periodic catch-up request retry — or,
-    /// once a fallback budget runs out, abandons the catch-up and
-    /// resumes from the local state.
-    pub fn flush(&mut self) -> ReplicaStep<Astro2Msg<A::Sig>> {
-        // CREDIT retransmission rides the same timer — and keeps running
-        // during catch-up: the outbox serves *other* replicas' recovery,
-        // which must not wait for ours.
-        let mut out = ReplicaStep::empty();
-        self.tick_outbox(&mut out.outbound);
-        if let Some(sync) = &mut self.syncing {
-            if sync.ticks == 0 {
-                if sync.exhausted() {
-                    // No f+1 matching donors in time; resume from the
-                    // locally recovered state, replaying whatever parked
-                    // (see the Astro I flush for the rationale), and ask
-                    // donors to replay CREDITs lost while we were down.
-                    let sync = self.syncing.take().expect("syncing");
-                    for (from, m) in sync.buffered {
-                        let step = self.handle(from, Astro2Msg::Brb(m));
-                        out.outbound.extend(step.outbound);
-                        out.settled.extend(step.settled);
-                    }
-                    out.outbound.extend(self.credit_request_envelopes());
-                    return out;
-                }
-                sync.ticks = crate::astro1::SYNC_RETRY_TICKS;
-                sync.requests += 1;
-                if let Some(obs) = &self.obs {
-                    if sync.requests > 1 {
-                        obs.sync_retries.inc();
-                    }
-                    obs.flight.event("core.sync.request", u64::from(sync.requests), 0);
-                }
-                let request = sync.votes.request();
-                out.outbound
-                    .push(Envelope { to: astro_brb::Dest::All, msg: Astro2Msg::Sync(request) });
-                return out;
-            }
-            sync.ticks -= 1;
-            return out;
-        }
-        if self.batch.is_empty() {
-            return out;
-        }
-        let entries = std::mem::take(&mut self.batch);
-        if let Some(obs) = &self.obs {
-            obs.stage_batch(entries.iter().map(|e| &e.payment), astro_obs::Stage::Prepare);
-            obs.pending_depth.set(self.pending.len() as u64);
-            obs.cert_cache_hits.set(self.cert_cache.hits());
-            obs.cert_cache_misses.set(self.cert_cache.misses());
-        }
-        let id = InstanceId { source: u64::from(self.me.0), tag: self.next_tag };
-        self.next_tag += 1;
-        // The batch becomes durable now: certificate consumption first,
-        // then the tag reservation — a restarted replica must never reuse
-        // a tag it already broadcast under (peers ack at most one payload
-        // per instance, so a reused tag wedges the stream). Journaled
-        // before the PREPARE leaves; against *power loss* the window is
-        // bounded by group commit unless `sync_on_broadcast` is set.
-        for (client, digests) in std::mem::take(&mut self.pending_cert_takes) {
-            self.journal.rec(&WalRecord::CertsTaken { client, digests });
-        }
-        self.journal.rec(&WalRecord::OwnTag { tag: id.tag });
-        let step = self.brb.broadcast(id, DepBatch { entries });
-        out.outbound.extend(
-            step.outbound.into_iter().map(|e| Envelope { to: e.to, msg: Astro2Msg::Brb(e.msg) }),
-        );
-        out
-    }
-
     /// Paces only the CREDIT retry outbox — the flush timer's
     /// retransmission duty without cutting the payment batch. Drivers
     /// with independent batch and retry clocks (the simulator) call this
-    /// instead of piggybacking retransmission on [`Self::flush`]: firing
-    /// `flush` early just to age the outbox would cut batches short and
-    /// inflate the per-batch broadcast overhead.
+    /// instead of piggybacking retransmission on [`Replica::flush`]:
+    /// firing `flush` early just to age the outbox would cut batches short
+    /// and inflate the per-batch broadcast overhead.
     pub fn pace_outbox(&mut self) -> ReplicaStep<Astro2Msg<A::Sig>> {
         let mut out = ReplicaStep::empty();
         self.tick_outbox(&mut out.outbound);
@@ -710,7 +937,7 @@ impl<A: Authenticator> AstroTwoReplica<A> {
     fn tick_outbox(&mut self, outbound: &mut Vec<Envelope<Astro2Msg<A::Sig>>>) {
         self.flush_acks(outbound);
         let mut retransmits = 0u64;
-        for entry in self.outbox.values_mut() {
+        for entry in self.proto.outbox.values_mut() {
             if entry.ticks > 0 {
                 entry.ticks -= 1;
                 continue;
@@ -718,20 +945,18 @@ impl<A: Authenticator> AstroTwoReplica<A> {
             entry.ticks = entry.backoff;
             entry.backoff = (entry.backoff * 2).min(OUTBOX_MAX_TICKS);
             retransmits += 1;
-            outbound.push(Envelope {
-                to: astro_brb::Dest::One(entry.dest),
-                msg: Astro2Msg::Credit(CreditBundle {
-                    bundle: entry.bundle.clone(),
-                    sig: entry.sig.clone(),
-                }),
-            });
+            outbound.push(entry.transmission());
         }
         if let Some(obs) = &self.obs {
             if retransmits > 0 {
                 obs.credit_retransmits.add(retransmits);
-                obs.flight.event("core.credit.retransmit", retransmits, self.outbox.len() as u64);
+                obs.flight.event(
+                    "core.credit.retransmit",
+                    retransmits,
+                    self.proto.outbox.len() as u64,
+                );
             }
-            obs.outbox_depth.set(self.outbox.len() as u64);
+            obs.outbox_depth.set(self.proto.outbox.len() as u64);
         }
     }
 
@@ -746,10 +971,10 @@ impl<A: Authenticator> AstroTwoReplica<A> {
     ) {
         let context = credit_context(&bundle);
         let key: [u8; 32] = context.as_slice().try_into().expect("sha256 digest");
-        let sig = self.auth.sign(&context);
-        if !self.outbox.contains_key(&key) {
+        let sig = self.proto.auth.sign(&context);
+        if !self.proto.outbox.contains_key(&key) {
             self.journal.rec(&WalRecord::CreditOut { dest, bundle: bundle.clone() });
-            self.outbox.insert(
+            self.proto.outbox.insert(
                 key,
                 OutboxEntry {
                     dest,
@@ -761,7 +986,7 @@ impl<A: Authenticator> AstroTwoReplica<A> {
             );
         }
         outbound.push(Envelope {
-            to: astro_brb::Dest::One(dest),
+            to: Dest::One(dest),
             msg: Astro2Msg::Credit(CreditBundle { bundle, sig }),
         });
     }
@@ -772,11 +997,11 @@ impl<A: Authenticator> AstroTwoReplica<A> {
     fn credit_request_envelopes(&self) -> Vec<Envelope<Astro2Msg<A::Sig>>> {
         let since = self.ledger.total_settled() as u64;
         let mut out = Vec::new();
-        for group in &self.groups {
+        for group in &self.proto.groups {
             for &r in group.members() {
                 if r != self.me {
                     out.push(Envelope {
-                        to: astro_brb::Dest::One(r),
+                        to: Dest::One(r),
                         msg: Astro2Msg::CreditRequest { since },
                     });
                 }
@@ -785,77 +1010,18 @@ impl<A: Authenticator> AstroTwoReplica<A> {
         out
     }
 
-    /// Number of payments waiting in the unflushed batch.
-    pub fn batched(&self) -> usize {
-        self.batch.len()
-    }
-
     /// Unacked CREDIT sub-batches in the retry outbox. Drivers keep the
     /// flush timer armed while this is nonzero — retransmission has no
     /// other clock.
     pub fn outbox_depth(&self) -> usize {
-        self.outbox.len()
+        self.proto.outbox.len()
     }
 
     /// Settling replicas owed a batched CREDIT acknowledgment. Drivers
     /// keep the flush timer armed while this is nonzero — the
     /// accumulated acks leave on the next flush tick.
     pub fn pending_acks(&self) -> usize {
-        self.pending_acks.len()
-    }
-
-    /// Processes one replica-to-replica message.
-    pub fn handle(
-        &mut self,
-        from: ReplicaId,
-        msg: Astro2Msg<A::Sig>,
-    ) -> ReplicaStep<Astro2Msg<A::Sig>> {
-        match msg {
-            Astro2Msg::Brb(m) => {
-                let member = self.group().contains(from);
-                if let Some(sync) = &mut self.syncing {
-                    // Settlement is paused until the transferred state is
-                    // installed; park the message for replay.
-                    if member {
-                        sync.park(from, m);
-                        if let Some(obs) = &self.obs {
-                            obs.parked.inc();
-                            obs.parked_depth.set(sync.buffered.len() as u64);
-                        }
-                    }
-                    return ReplicaStep::empty();
-                }
-                let step = self.brb.handle(from, m);
-                let mut out = ReplicaStep {
-                    outbound: step
-                        .outbound
-                        .into_iter()
-                        .map(|e| Envelope { to: e.to, msg: Astro2Msg::Brb(e.msg) })
-                        .collect(),
-                    settled: Vec::new(),
-                };
-                for delivery in step.delivered {
-                    self.apply_batch(delivery.id, delivery.payload, &mut out);
-                }
-                if let Some(obs) = &self.obs {
-                    // An outbound COMMIT means this replica just assembled
-                    // the 2f+1 ack quorum proof for its payload.
-                    for env in &out.outbound {
-                        if let Astro2Msg::Brb(SignedMsg::Commit { payload, .. }) = &env.msg {
-                            obs.stage_batch(
-                                payload.entries.iter().map(|e| &e.payment),
-                                astro_obs::Stage::AckQuorum,
-                            );
-                        }
-                    }
-                }
-                out
-            }
-            Astro2Msg::Credit(cb) => self.on_credit(from, cb),
-            Astro2Msg::Sync(m) => self.on_sync(from, m),
-            Astro2Msg::CreditAck { digests, sig } => self.on_credit_ack(from, digests, sig),
-            Astro2Msg::CreditRequest { since } => self.on_credit_request(from, since),
-        }
+        self.proto.pending_acks.len()
     }
 
     /// Handles a CREDIT acknowledgment at the settling replica: each
@@ -871,7 +1037,7 @@ impl<A: Authenticator> AstroTwoReplica<A> {
         // One signature covers the whole batch of digests; verify it
         // before touching any entry — a forged or replayed ack would
         // silently lose the beneficiary's certificate material.
-        if !self.auth.verify(from, &credit_ack_context(&digests), &sig) {
+        if !self.proto.auth.verify(from, &credit_ack_context(&digests), &sig) {
             return empty;
         }
         let mut discharged = 0u64;
@@ -879,11 +1045,11 @@ impl<A: Authenticator> AstroTwoReplica<A> {
             // Only the representative the bundle was addressed to may
             // discharge it; unknown digests (already acked, or never
             // ours) are skipped — acks are idempotent.
-            let Some(entry) = self.outbox.get(&digest) else { continue };
+            let Some(entry) = self.proto.outbox.get(&digest) else { continue };
             if entry.dest != from {
                 continue;
             }
-            self.outbox.remove(&digest);
+            self.proto.outbox.remove(&digest);
             self.journal.rec(&WalRecord::CreditAcked { digest });
             discharged += 1;
         }
@@ -891,7 +1057,7 @@ impl<A: Authenticator> AstroTwoReplica<A> {
             if discharged > 0 {
                 obs.credit_acks.add(discharged);
             }
-            obs.outbox_depth.set(self.outbox.len() as u64);
+            obs.outbox_depth.set(self.proto.outbox.len() as u64);
         }
         empty
     }
@@ -908,26 +1074,20 @@ impl<A: Authenticator> AstroTwoReplica<A> {
             return out;
         }
         let mut replays = 0u64;
-        for entry in self.outbox.values_mut() {
+        for entry in self.proto.outbox.values_mut() {
             if entry.dest != from {
                 continue;
             }
             entry.ticks = OUTBOX_BASE_TICKS;
             entry.backoff = OUTBOX_BASE_TICKS * 2;
             replays += 1;
-            out.outbound.push(Envelope {
-                to: astro_brb::Dest::One(from),
-                msg: Astro2Msg::Credit(CreditBundle {
-                    bundle: entry.bundle.clone(),
-                    sig: entry.sig.clone(),
-                }),
-            });
+            out.outbound.push(entry.transmission());
         }
         // `since` is comparable only within a shard; a same-shard donor
         // behind the requester's watermark regenerates nothing (its
         // settled history is a stale prefix of what the requester
         // already has) — the outbox retransmissions above still count.
-        let same_shard = self.layout.shard_of_replica(from) == Some(self.my_shard);
+        let same_shard = self.layout.shard_of_replica(from) == Some(self.proto.my_shard);
         if !(same_shard && (self.ledger.total_settled() as u64) < since) {
             // Regenerate from settled history. Singleton bundles, so every
             // donor derives the identical digest independently and `f+1`
@@ -939,15 +1099,15 @@ impl<A: Authenticator> AstroTwoReplica<A> {
                         continue;
                     }
                     // Direct-credited payments carry no certificate debt.
-                    if self.mode == CreditMode::DirectIntraShard
-                        && self.layout.shard_of_client(p.beneficiary) == self.my_shard
+                    if self.proto.mode == CreditMode::DirectIntraShard
+                        && self.layout.shard_of_client(p.beneficiary) == self.proto.my_shard
                     {
                         continue;
                     }
                     // Already materialized in this shard ⇒ the credit's
                     // whole effect is in the shared settled state; the
                     // requester needs no certificate for it.
-                    if self.used_deps.contains(&p.id()) {
+                    if self.proto.used_deps.contains(&p.id()) {
                         continue;
                     }
                     regenerated.push(vec![*p]);
@@ -956,7 +1116,7 @@ impl<A: Authenticator> AstroTwoReplica<A> {
             for bundle in regenerated {
                 let key: [u8; 32] =
                     credit_context(&bundle).as_slice().try_into().expect("sha256 digest");
-                if self.outbox.contains_key(&key) {
+                if self.proto.outbox.contains_key(&key) {
                     continue; // already queued (and just retransmitted above)
                 }
                 replays += 1;
@@ -967,158 +1127,15 @@ impl<A: Authenticator> AstroTwoReplica<A> {
             if replays > 0 {
                 obs.credit_replays.add(replays);
             }
-            obs.flight.event("core.credit.replay", replays, self.outbox.len() as u64);
-            obs.outbox_depth.set(self.outbox.len() as u64);
+            obs.flight.event("core.credit.replay", replays, self.proto.outbox.len() as u64);
+            obs.outbox_depth.set(self.proto.outbox.len() as u64);
         }
         out
     }
 
-    /// Handles reconfiguration traffic: serves catch-up requests from
-    /// shard members and, while catching up, folds peer responses into
-    /// the collector until one certifies and installs.
-    fn on_sync(
-        &mut self,
-        from: ReplicaId,
-        msg: ReconfigMsg<A::Sig>,
-    ) -> ReplicaStep<Astro2Msg<A::Sig>> {
-        if from == self.me || !self.group().contains(from) {
-            return ReplicaStep::empty();
-        }
-        match msg {
-            ReconfigMsg::SyncRequest { settled } => {
-                // A replica that is itself catching up serves nothing,
-                // and one behind the requester's floor stays silent (its
-                // response would be rejected on arrival anyway).
-                if self.syncing.is_some() || (self.ledger.total_settled() as u64) < settled {
-                    return ReplicaStep::empty();
-                }
-                match self.sync_chunks(from) {
-                    Ok((head, blocks)) => {
-                        let mut outbound = Vec::with_capacity(blocks.len() + 1);
-                        let reply = ReconfigMsg::SyncState {
-                            settled: self.ledger.total_settled() as u64,
-                            state: head.to_wire_bytes(),
-                        };
-                        outbound.push(Envelope {
-                            to: astro_brb::Dest::One(from),
-                            msg: Astro2Msg::Sync(reply),
-                        });
-                        for (client, block, data) in blocks {
-                            outbound.push(Envelope {
-                                to: astro_brb::Dest::One(from),
-                                msg: Astro2Msg::Sync(ReconfigMsg::SyncBlock {
-                                    client,
-                                    block,
-                                    data,
-                                }),
-                            });
-                        }
-                        ReplicaStep { outbound, settled: Vec::new() }
-                    }
-                    Err(SyncServeError::HeadTooLarge { bytes }) => {
-                        // Typed refusal instead of the framing layer's
-                        // oversized-payload panic.
-                        if let Some(obs) = &self.obs {
-                            obs.sync_refused_oversize.inc();
-                            obs.flight.event("core.sync.head_oversize", bytes as u64, 0);
-                        }
-                        ReplicaStep::empty()
-                    }
-                }
-            }
-            ReconfigMsg::SyncState { settled, state } => {
-                let Some(sync) = &mut self.syncing else { return ReplicaStep::empty() };
-                if let Some(head) = sync.votes.offer(from, settled, state) {
-                    sync.certified_head = Some(head);
-                }
-                self.note_sync_progress();
-                self.try_complete_sync()
-            }
-            ReconfigMsg::SyncBlock { client, block, data } => {
-                let Some(sync) = &mut self.syncing else { return ReplicaStep::empty() };
-                sync.blocks.offer(from, client, block, data);
-                self.note_sync_progress();
-                self.try_complete_sync()
-            }
-            // The join protocol is driven by `ReconfigReplica`
-            // deployments, not by the payment replica itself.
-            _ => ReplicaStep::empty(),
-        }
-    }
-
-    /// Publishes the catch-up collectors' reject/progress counters.
-    fn note_sync_progress(&mut self) {
-        let (Some(obs), Some(sync)) = (&self.obs, &self.syncing) else { return };
-        obs.sync_rejected.set((sync.votes.rejected() + sync.blocks.rejected()) as u64);
-        obs.sync_blocks_certified.set(sync.blocks.certified_len() as u64);
-    }
-
-    /// Attempts to finish the catch-up; the Astro II twin of
-    /// [`crate::astro1::AstroOneReplica`]'s completion flow — certified
-    /// head plus all referenced history blocks reassemble into a full
-    /// [`Astro2State`] and install. Invalid transfers discard every vote;
-    /// a merely stale head keeps the content-stable certified blocks.
-    fn try_complete_sync(&mut self) -> ReplicaStep<Astro2Msg<A::Sig>> {
-        let Some(sync) = &mut self.syncing else { return ReplicaStep::empty() };
-        let Some(head_bytes) = &sync.certified_head else { return ReplicaStep::empty() };
-        let assembled = match decode_exact::<SyncHead>(head_bytes) {
-            Ok(head) => {
-                if !sync.blocks.has_all(&head.blocks) {
-                    return ReplicaStep::empty(); // blocks still certifying
-                }
-                let blocks = &sync.blocks;
-                decode_exact::<Astro2State>(&head.state_tail).ok().and_then(|mut state| {
-                    merge_history_blocks(&mut state.ledger, &head.blocks, |c, b| {
-                        blocks.certified(c, b).cloned()
-                    })
-                    .ok()
-                    .map(|()| state)
-                })
-            }
-            Err(_) => None,
-        };
-        let Some(state) = assembled else {
-            // f+1 matching copies of an undecodable or unmergeable
-            // transfer cannot come from an honest majority; drop
-            // everything and re-collect.
-            sync.certified_head = None;
-            sync.votes.clear();
-            sync.blocks.clear();
-            return ReplicaStep::empty();
-        };
-        match self.install_sync(&state) {
-            Ok(mut out) => {
-                let sync = self.syncing.take().expect("syncing");
-                for (from, m) in sync.buffered {
-                    let step = self.handle(from, Astro2Msg::Brb(m));
-                    out.outbound.extend(step.outbound);
-                    out.settled.extend(step.settled);
-                }
-                out
-            }
-            Err(SyncError::Stale) => {
-                // The certified head is behind this replica (the donors
-                // lag) — discard it and retry; certified blocks stay.
-                if let Some(sync) = &mut self.syncing {
-                    sync.certified_head = None;
-                    sync.votes.clear();
-                }
-                ReplicaStep::empty()
-            }
-            Err(SyncError::Invalid) => {
-                if let Some(sync) = &mut self.syncing {
-                    sync.certified_head = None;
-                    sync.votes.clear();
-                    sync.blocks.clear();
-                }
-                ReplicaStep::empty()
-            }
-        }
-    }
-
     /// Applies a BRB-delivered batch (Listings 8–9) and emits CREDIT
     /// sub-batches for the settled payments.
-    fn apply_batch(
+    fn apply_delivered(
         &mut self,
         id: InstanceId,
         batch: DepBatch<A::Sig>,
@@ -1132,13 +1149,19 @@ impl<A: Authenticator> AstroTwoReplica<A> {
             let p = entry.payment;
             // Representative and locality checks.
             if self.layout.representative_of(p.spender) != broadcaster
-                || self.layout.shard_of_client(p.spender) != self.my_shard
+                || self.layout.shard_of_client(p.spender) != self.proto.my_shard
             {
                 continue;
             }
-            match self.attempt_settle(&p, &entry.deps) {
+            match self.proto.settle(
+                &mut self.ledger,
+                &mut self.journal,
+                &self.layout,
+                &p,
+                &entry.deps,
+            ) {
                 SettleOutcome::Applied => {
-                    if let Some(r) = self.reserved.get_mut(&p.spender) {
+                    if let Some(r) = self.proto.reserved.get_mut(&p.spender) {
                         *r = r.saturating_sub(p.amount.0);
                     }
                     settled.push(p);
@@ -1165,25 +1188,9 @@ impl<A: Authenticator> AstroTwoReplica<A> {
         }
 
         // Cascade: settled payments may unblock queued successors.
-        let Self {
-            pending,
-            ledger,
-            auth,
-            layout,
-            groups,
-            used_deps,
-            cert_cache,
-            stuck,
-            mode,
-            my_shard,
-            journal,
-            ..
-        } = self;
+        let Replica { pending, ledger, proto, journal, layout, .. } = self;
         let cascaded = pending.drain_cascade(touched, ledger, |ledger, p, deps| {
-            attempt_settle_inner(
-                ledger, auth, layout, groups, used_deps, cert_cache, stuck, journal, *mode,
-                *my_shard, p, deps,
-            )
+            proto.settle(ledger, journal, layout, p, deps)
         });
         settled.extend(cascaded.into_iter().map(|e| e.payment));
 
@@ -1198,8 +1205,8 @@ impl<A: Authenticator> AstroTwoReplica<A> {
         let mut by_rep: BTreeMap<ReplicaId, Vec<Payment>> = BTreeMap::new();
         for p in &settled {
             let beneficiary_shard = self.layout.shard_of_client(p.beneficiary);
-            let direct =
-                self.mode == CreditMode::DirectIntraShard && beneficiary_shard == self.my_shard;
+            let direct = self.proto.mode == CreditMode::DirectIntraShard
+                && beneficiary_shard == self.proto.my_shard;
             if !direct {
                 by_rep.entry(self.layout.representative_of(p.beneficiary)).or_default().push(*p);
             }
@@ -1208,7 +1215,7 @@ impl<A: Authenticator> AstroTwoReplica<A> {
             if rep == self.me {
                 // Self-addressed credits deliver inline: no transport to
                 // lose them, so they bypass the retry outbox too.
-                let sig = self.auth.sign(&credit_context(&bundle));
+                let sig = self.proto.auth.sign(&credit_context(&bundle));
                 let step = self.on_credit(self.me, CreditBundle { bundle, sig });
                 out.outbound.extend(step.outbound);
                 out.settled.extend(step.settled);
@@ -1228,31 +1235,6 @@ impl<A: Authenticator> AstroTwoReplica<A> {
         out.settled.extend(settled);
     }
 
-    /// One settle attempt for a payment with its dependencies.
-    fn attempt_settle(
-        &mut self,
-        p: &Payment,
-        deps: &[DependencyCertificate<A::Sig>],
-    ) -> SettleOutcome {
-        let Self {
-            ledger,
-            auth,
-            layout,
-            groups,
-            used_deps,
-            cert_cache,
-            stuck,
-            mode,
-            my_shard,
-            journal,
-            ..
-        } = self;
-        attempt_settle_inner(
-            ledger, auth, layout, groups, used_deps, cert_cache, stuck, journal, *mode, *my_shard,
-            p, deps,
-        )
-    }
-
     /// Handles an incoming CREDIT sub-batch at the beneficiary's
     /// representative (Listing 10).
     fn on_credit(
@@ -1268,7 +1250,7 @@ impl<A: Authenticator> AstroTwoReplica<A> {
         if !cb.bundle.iter().all(|p| self.layout.shard_of_client(p.spender) == settling_shard) {
             return empty;
         }
-        let group = &self.groups[settling_shard.0 as usize];
+        let group = &self.proto.groups[settling_shard.0 as usize];
         if !group.contains(from) {
             return empty;
         }
@@ -1283,8 +1265,9 @@ impl<A: Authenticator> AstroTwoReplica<A> {
         // nothing; ack so the sender stops retransmitting. This also
         // drains replayed singletons that can never reach a fresh quorum.
         let covered = cb.bundle.iter().all(|p| {
-            self.used_deps.contains(&p.id())
+            self.proto.used_deps.contains(&p.id())
                 || self
+                    .proto
                     .rep_deps
                     .get(&p.beneficiary)
                     .is_some_and(|certs| certs.iter().any(|c| c.bundle.contains(p)))
@@ -1293,11 +1276,11 @@ impl<A: Authenticator> AstroTwoReplica<A> {
             self.note_ack(from, key);
             return empty;
         }
-        if !self.auth.verify(from, &context, &cb.sig) {
+        if !self.proto.auth.verify(from, &context, &cb.sig) {
             return empty;
         }
         let small_quorum = group.small_quorum();
-        let partial = self.partial.entry(key).or_insert_with(|| PartialBundle {
+        let partial = self.proto.partial.entry(key).or_insert_with(|| PartialBundle {
             bundle: cb.bundle,
             proofs: HashMap::new(),
             certified: false,
@@ -1327,7 +1310,7 @@ impl<A: Authenticator> AstroTwoReplica<A> {
         beneficiaries.dedup();
         for b in beneficiaries {
             if self.layout.is_representative(self.me, b) {
-                let held = self.rep_deps.entry(b).or_default();
+                let held = self.proto.rep_deps.entry(b).or_default();
                 // A re-formed certificate over a bundle already held (the
                 // proof subset may differ) must not double-count.
                 if !held.iter().any(|c| c.bundle == cert.bundle) {
@@ -1353,12 +1336,12 @@ impl<A: Authenticator> AstroTwoReplica<A> {
     fn note_ack(&mut self, to: ReplicaId, key: [u8; 32]) {
         if to == self.me {
             // Signing an ack to ourselves is wasted work.
-            if self.outbox.remove(&key).is_some() {
+            if self.proto.outbox.remove(&key).is_some() {
                 self.journal.rec(&WalRecord::CreditAcked { digest: key });
             }
             return;
         }
-        let pending = self.pending_acks.entry(to).or_default();
+        let pending = self.proto.pending_acks.entry(to).or_default();
         if !pending.contains(&key) {
             pending.push(key);
         }
@@ -1367,18 +1350,11 @@ impl<A: Authenticator> AstroTwoReplica<A> {
     /// Emits the accumulated CREDIT acknowledgments, one signed message
     /// per owed settler (the flush tick's ack-batching duty).
     fn flush_acks(&mut self, outbound: &mut Vec<Envelope<Astro2Msg<A::Sig>>>) {
-        for (to, digests) in std::mem::take(&mut self.pending_acks) {
-            let sig = self.auth.sign(&credit_ack_context(&digests));
-            outbound.push(Envelope {
-                to: astro_brb::Dest::One(to),
-                msg: Astro2Msg::CreditAck { digests, sig },
-            });
+        for (to, digests) in std::mem::take(&mut self.proto.pending_acks) {
+            let sig = self.proto.auth.sign(&credit_ack_context(&digests));
+            outbound
+                .push(Envelope { to: Dest::One(to), msg: Astro2Msg::CreditAck { digests, sig } });
         }
-    }
-
-    /// The settled balance of a client at this replica.
-    pub fn balance(&self, client: ClientId) -> Amount {
-        self.ledger.balance(client)
     }
 
     /// The balance a representative reports to its client: settled balance
@@ -1389,10 +1365,10 @@ impl<A: Authenticator> AstroTwoReplica<A> {
         // replayed singleton alongside the original sub-batch): count
         // each payment once.
         let mut counted: HashSet<PaymentId> = HashSet::new();
-        if let Some(certs) = self.rep_deps.get(&client) {
+        if let Some(certs) = self.proto.rep_deps.get(&client) {
             for cert in certs {
                 for p in cert.credits_for(client) {
-                    if !self.used_deps.contains(&p.id()) && counted.insert(p.id()) {
+                    if !self.proto.used_deps.contains(&p.id()) && counted.insert(p.id()) {
                         total = total.saturating_add(p.amount);
                     }
                 }
@@ -1401,547 +1377,51 @@ impl<A: Authenticator> AstroTwoReplica<A> {
         total
     }
 
-    /// Read access to the ledger.
-    pub fn ledger(&self) -> &Ledger {
-        &self.ledger
-    }
-
-    /// Number of payments queued awaiting approval.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Clients whose xlog was permanently stuck by an under-funded payment
     /// (certificate mode).
     pub fn stuck_clients(&self) -> impl Iterator<Item = ClientId> + '_ {
-        self.stuck.iter().copied()
+        self.proto.stuck.iter().copied()
     }
 
     /// Certificates currently held for `client` (representative state).
     pub fn held_certificates(&self, client: ClientId) -> usize {
-        self.rep_deps.get(&client).map_or(0, Vec::len)
+        self.proto.rep_deps.get(&client).map_or(0, Vec::len)
     }
 
     /// The verified-certificate cache (observability and tests).
     pub fn cert_cache(&self) -> &CertCache {
-        &self.cert_cache
+        &self.proto.cert_cache
     }
 
-    /// Prunes BRB state for delivered broadcast instances (the contiguous
-    /// delivered prefix of every source's stream) — see
-    /// [`SignedBrb::gc_delivered`]. The durable runtime calls this at its
-    /// snapshot-install point so BRB memory stays bounded by the
-    /// in-flight window. Returns the number of instances pruned.
-    pub fn prune_delivered(&mut self) -> usize {
-        self.brb.gc_delivered()
-    }
-
-    /// Number of receiver-side BRB instances currently tracked
-    /// (observability for the GC tests).
-    pub fn tracked_instances(&self) -> usize {
-        self.brb.tracked_instances()
-    }
-
-    /// Exports the durable state (snapshot): settlement state, approval
-    /// queue, dependency replay-protection, stuck set, held certificates,
-    /// broadcast tag counter, and BRB cursors. The shared settlement
-    /// state is canonical; the certificate section is representative-local
-    /// by construction.
-    pub fn export_state(&self) -> Astro2State {
-        let mut used_deps: Vec<PaymentId> = self.used_deps.iter().copied().collect();
-        used_deps.sort_unstable();
-        let mut stuck: Vec<ClientId> = self.stuck.iter().copied().collect();
-        stuck.sort_unstable();
-        // Certificates attached to the *unflushed* batch are not durably
-        // consumed yet — `CertsTaken` is journaled at flush. Export them
-        // as still held: a crash before the flush then restores them
-        // instead of destroying them with the lost batch, and a
-        // `CertsTaken` that post-dates this snapshot removes exactly them
-        // on replay (consumption is by content digest).
-        let mut certs_map: HashMap<ClientId, Vec<Vec<u8>>> = HashMap::new();
-        for entry in &self.batch {
-            if !entry.deps.is_empty() {
-                certs_map
-                    .entry(entry.payment.spender)
-                    .or_default()
-                    .extend(entry.deps.iter().map(Wire::to_wire_bytes));
-            }
-        }
-        for (client, held) in &self.rep_deps {
-            certs_map.entry(*client).or_default().extend(held.iter().map(Wire::to_wire_bytes));
-        }
-        let mut certs: Vec<(ClientId, Vec<Vec<u8>>)> = certs_map.into_iter().collect();
-        certs.sort_unstable_by_key(|(c, _)| *c);
-        // Outbox iteration is digest-ordered; the stable sort yields the
-        // canonical (destination, digest) order.
-        let mut outbox: Vec<(ReplicaId, Vec<Payment>)> =
-            self.outbox.values().map(|e| (e.dest, e.bundle.clone())).collect();
-        outbox.sort_by_key(|(dest, _)| *dest);
-        Astro2State {
-            ledger: self.ledger.export(),
-            pending: self
-                .pending
-                .entries()
-                .into_iter()
-                .map(|(p, deps)| (*p, deps.iter().map(Wire::to_wire_bytes).collect()))
-                .collect(),
-            used_deps,
-            stuck,
-            certs,
-            outbox,
-            next_tag: self.next_tag,
-            cursors: self.brb.delivery_cursors(),
+    /// Queues recovered or transferred payments with their decoded
+    /// certificates.
+    fn queue_all(&mut self, entries: &[(Payment, Vec<Vec<u8>>)]) {
+        for (payment, deps) in entries {
+            self.pending.push(*payment, AstroTwo::<A>::decode_deps(deps));
         }
     }
 
-    /// Reconstructs a replica from a recovered snapshot state. `auth`,
-    /// `layout` and `cfg` must match the crashed incarnation. In-flight
-    /// state that is deliberately not durable — the unflushed client
-    /// batch, partial CREDIT proof sets below the certificate threshold,
-    /// and in-flight balance reservations — restarts empty.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the snapshot's xlogs violate the owner/sequence
-    /// invariants. Certificates that fail to decode under this signature
-    /// scheme are dropped (they could never verify either).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the replica is not a member of the layout (as
-    /// [`Self::new`]).
-    pub fn restore(
-        auth: A,
-        layout: ShardLayout,
-        cfg: Astro2Config,
-        state: &Astro2State,
-    ) -> Result<Self, XLogError> {
-        let mut replica = AstroTwoReplica::new(auth, layout, cfg);
-        replica.ledger = Ledger::import(&state.ledger)?;
-        for (payment, deps) in &state.pending {
-            let decoded: Vec<DependencyCertificate<A::Sig>> =
-                deps.iter().filter_map(|bytes| decode_exact(bytes).ok()).collect();
-            replica.pending.push(*payment, decoded);
-        }
-        replica.used_deps = state.used_deps.iter().copied().collect();
-        replica.stuck = state.stuck.iter().copied().collect();
-        for (client, certs) in &state.certs {
-            let decoded: Vec<DependencyCertificate<A::Sig>> =
-                certs.iter().filter_map(|bytes| decode_exact(bytes).ok()).collect();
-            if !decoded.is_empty() {
-                replica.rep_deps.insert(*client, decoded);
-            }
-        }
-        for (dest, bundle) in &state.outbox {
-            replica.restore_outbox_entry(*dest, bundle.clone());
-        }
-        replica.next_tag = state.next_tag;
-        for (source, next) in &state.cursors {
-            replica.brb.advance_cursor(*source, *next);
-        }
-        Ok(replica)
-    }
-
-    /// Re-creates one retry-outbox entry from recovered `(dest, bundle)`
-    /// data, re-signing with this replica's key (signatures are not
-    /// persisted). Due for immediate retransmission; idempotent over the
-    /// snapshot/WAL overlap window.
-    fn restore_outbox_entry(&mut self, dest: ReplicaId, bundle: Vec<Payment>) {
-        let context = credit_context(&bundle);
-        let key: [u8; 32] = context.as_slice().try_into().expect("sha256 digest");
-        if self.outbox.contains_key(&key) {
-            return;
-        }
-        let sig = self.auth.sign(&context);
-        self.outbox
-            .insert(key, OutboxEntry { dest, bundle, sig, ticks: 0, backoff: OUTBOX_BASE_TICKS });
-    }
-
-    /// Re-applies one WAL record on top of a restored snapshot. Records
-    /// must be fed in log order; records already reflected in the
-    /// snapshot re-apply as no-ops. Call [`Self::finish_recovery`] after
-    /// the last record.
-    pub fn replay(&mut self, record: &WalRecord) {
-        match record {
-            WalRecord::Delivered { source, tag } => self.brb.advance_cursor(*source, tag + 1),
-            WalRecord::Settle { payment, credit_beneficiary } => {
-                let _ = self.ledger.settle(payment, *credit_beneficiary);
-            }
-            WalRecord::DepUsed { dep } => {
-                if self.used_deps.insert(dep.id()) {
-                    self.ledger.credit(dep.beneficiary, dep.amount);
-                }
-            }
-            WalRecord::Queued { payment, deps } => {
-                let decoded: Vec<DependencyCertificate<A::Sig>> =
-                    deps.iter().filter_map(|bytes| decode_exact(bytes).ok()).collect();
-                self.pending.push(*payment, decoded);
-            }
-            WalRecord::Stuck { client } => {
-                self.stuck.insert(*client);
-            }
-            WalRecord::OwnTag { tag } => self.next_tag = self.next_tag.max(tag + 1),
-            WalRecord::CertsTaken { client, digests } => {
-                // Consumption by content digest: removal of an absent
-                // certificate is a no-op, so any replay interleaving with
-                // Cert records (the snapshot-overlap window) converges.
-                if let Some(held) = self.rep_deps.get_mut(client) {
-                    held.retain(|cert| !digests.contains(&cert_digest(cert)));
-                    if held.is_empty() {
-                        self.rep_deps.remove(client);
-                    }
-                }
-            }
-            WalRecord::Cert { bytes } => {
-                let Ok(cert) = decode_exact::<DependencyCertificate<A::Sig>>(bytes) else {
-                    return;
-                };
-                let mut beneficiaries: Vec<ClientId> =
-                    cert.bundle.iter().map(|p| p.beneficiary).collect();
-                beneficiaries.sort_unstable();
-                beneficiaries.dedup();
-                for b in beneficiaries {
-                    if self.layout.is_representative(self.me, b) {
-                        let held = self.rep_deps.entry(b).or_default();
-                        // Idempotent over the snapshot-overlap window.
-                        if !held.contains(&cert) {
-                            held.push(cert.clone());
-                        }
-                    }
-                }
-            }
-            WalRecord::CreditOut { dest, bundle } => {
-                self.restore_outbox_entry(*dest, bundle.clone());
-            }
-            WalRecord::CreditAcked { digest } => {
-                self.outbox.remove(digest);
-            }
-        }
-    }
-
-    /// Completes recovery: queue entries superseded by replayed settles
-    /// are pruned.
-    pub fn finish_recovery(&mut self) {
-        self.pending.prune_stale(&self.ledger);
-    }
-
-    /// Starts peer catch-up (the restart path); see
-    /// [`crate::astro1::AstroOneReplica::begin_catchup`] — the Astro II
-    /// flow is identical, with the shard as the donor group. Retries
-    /// forever: for replicas with a safe local state to fall back to,
-    /// use [`Self::begin_catchup_with_fallback`].
-    pub fn begin_catchup(&mut self) {
-        let floor = self.ledger.total_settled() as u64;
-        let group = self.group().clone();
-        self.syncing = Some(SyncSession::new(
-            CatchUp::new(&group, self.me, floor),
-            BlockVotes::new(&group, self.me),
-            None,
-        ));
-    }
-
-    /// Like [`Self::begin_catchup`], but gives up after a bounded number
-    /// of request rounds and resumes from the locally recovered state;
-    /// see [`crate::astro1::AstroOneReplica::begin_catchup_with_fallback`].
-    pub fn begin_catchup_with_fallback(&mut self) {
-        let floor = self.ledger.total_settled() as u64;
-        let group = self.group().clone();
-        self.syncing = Some(SyncSession::new(
-            CatchUp::new(&group, self.me, floor),
-            BlockVotes::new(&group, self.me),
-            Some(crate::astro1::SYNC_FALLBACK_ROUNDS),
-        ));
-    }
-
-    /// True while peer catch-up is in progress.
-    pub fn is_syncing(&self) -> bool {
-        self.syncing.is_some()
-    }
-
-    /// True once after a sync install (the durable runtime must snapshot
-    /// now); consuming resets the flag.
-    pub fn take_snapshot_request(&mut self) -> bool {
-        std::mem::take(&mut self.snapshot_requested)
-    }
-
-    /// The canonical state served to a catching-up peer: the shared
-    /// settlement state (ledger, approval queue, dependency
-    /// replay-protection, stuck set) with the replica-local sections —
-    /// the representative certificate store and the CREDIT retry outbox —
-    /// cleared: donors do not hold the requester's clients' certificates
-    /// or delivery debts, and leaving local data in would break the
-    /// byte-identical `f+1` match. `next_tag` is reinterpreted as the
-    /// *requester's* stream high-water mark (see
-    /// [`astro_brb::signed::SignedBrb::source_high_water`]).
-    pub fn sync_state(&self, requester: ReplicaId) -> Astro2State {
-        let mut state = self.export_state();
-        state.certs = Vec::new();
-        state.outbox = Vec::new();
-        state.next_tag = self.brb.source_high_water(u64::from(requester.0));
-        state
-    }
-
-    /// The chunked form of [`Self::sync_state`]; see
-    /// [`crate::astro1::AstroOneReplica::sync_chunks`]. Settled history
-    /// splits into content-stable blocks, the volatile remainder rides in
-    /// a small [`SyncHead`].
-    ///
-    /// # Errors
-    ///
-    /// [`SyncServeError::HeadTooLarge`] if the volatile head alone
-    /// exceeds [`SYNC_HEAD_MAX_BYTES`].
-    pub fn sync_chunks(
-        &self,
-        requester: ReplicaId,
-    ) -> Result<(SyncHead, Vec<SyncBlock>), SyncServeError> {
-        let mut state = self.sync_state(requester);
-        let blocks = split_history_blocks(&mut state.ledger);
-        let head = SyncHead { blocks: block_counts(&blocks), state_tail: state.to_wire_bytes() };
-        let bytes = head.state_tail.len();
-        if bytes > SYNC_HEAD_MAX_BYTES {
-            return Err(SyncServeError::HeadTooLarge { bytes });
-        }
-        Ok((head, blocks))
-    }
-
-    /// Seals the settle delta since the last checkpoint; see
-    /// [`crate::astro1::AstroOneReplica::seal_checkpoint`].
-    pub fn seal_checkpoint(&mut self) -> Vec<Vec<u8>> {
-        self.ledger
-            .seal_delta()
-            .iter()
-            .map(crate::journal::CheckpointRecord::to_wire_bytes)
-            .collect()
-    }
-
-    /// The residual snapshot — everything outside the ledger (which the
-    /// checkpoint segments reconstruct in full at seal time); see
-    /// [`crate::astro1::AstroOneReplica::residual_state`].
-    pub fn residual_state(&self, sealed_segments: u64) -> Astro2Snapshot {
-        let full = self.export_state();
-        Astro2Snapshot {
-            sealed_segments,
-            pending: full.pending,
-            used_deps: full.used_deps,
-            stuck: full.stuck,
-            certs: full.certs,
-            outbox: full.outbox,
-            next_tag: full.next_tag,
-            cursors: full.cursors,
-        }
-    }
-
-    /// Forgets the checkpoint watermarks; see
-    /// [`crate::astro1::AstroOneReplica::rebaseline`].
-    pub fn rebaseline(&mut self) {
-        self.ledger.rebaseline();
-    }
-
-    /// Reconstructs a replica from recovered checkpoint segments plus the
-    /// residual snapshot — the segmented counterpart of [`Self::restore`];
-    /// see [`crate::astro1::AstroOneReplica::restore_from_checkpoints`].
-    ///
-    /// # Errors
-    ///
-    /// As [`crate::astro1::AstroOneReplica::restore_from_checkpoints`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the replica is not a member of the layout (as
-    /// [`Self::new`]).
-    pub fn restore_from_checkpoints(
-        auth: A,
-        layout: ShardLayout,
-        cfg: Astro2Config,
-        segments: &[Vec<Vec<u8>>],
-        residual: &Astro2Snapshot,
-    ) -> Result<Self, RecoverError> {
-        if (segments.len() as u64) < residual.sealed_segments {
-            return Err(RecoverError::MissingSegments {
-                referenced: residual.sealed_segments,
-                recovered: segments.len() as u64,
-            });
-        }
-        let sealed = &segments[..residual.sealed_segments as usize];
-        let initial_balance = cfg.initial_balance;
-        let mut replica = AstroTwoReplica::new(auth, layout, cfg);
-        replica.ledger = Ledger::from_checkpoints(initial_balance, sealed)?;
-        for (payment, deps) in &residual.pending {
-            let decoded: Vec<DependencyCertificate<A::Sig>> =
-                deps.iter().filter_map(|bytes| decode_exact(bytes).ok()).collect();
-            replica.pending.push(*payment, decoded);
-        }
-        replica.used_deps = residual.used_deps.iter().copied().collect();
-        replica.stuck = residual.stuck.iter().copied().collect();
-        for (client, certs) in &residual.certs {
-            let decoded: Vec<DependencyCertificate<A::Sig>> =
-                certs.iter().filter_map(|bytes| decode_exact(bytes).ok()).collect();
-            if !decoded.is_empty() {
-                replica.rep_deps.insert(*client, decoded);
-            }
-        }
-        for (dest, bundle) in &residual.outbox {
-            replica.restore_outbox_entry(*dest, bundle.clone());
-        }
-        replica.next_tag = residual.next_tag;
-        for (source, next) in &residual.cursors {
-            replica.brb.advance_cursor(*source, *next);
-        }
-        Ok(replica)
-    }
-
-    /// Installs a certified peer state over the locally recovered one;
-    /// the Astro II analogue of
-    /// [`crate::astro1::AstroOneReplica::install_sync`]. The
-    /// representative-local certificate store is untouched by the
-    /// transfer itself: certificates are re-formed from CREDIT traffic —
-    /// donors retain unacked bundles in their retry outboxes, and the
-    /// `CreditRequest` fan-out this install emits makes them replay
-    /// anything this store is still missing.
-    ///
-    /// # Errors
-    ///
-    /// [`SyncError::Stale`] if the transferred state is behind this
-    /// replica in any xlog, used dependency, or stuck mark;
-    /// [`SyncError::Invalid`] if it fails structural validation.
-    pub fn install_sync(
+    /// Restores the sections a full state and a residual snapshot share.
+    fn restore_sections(
         &mut self,
-        state: &Astro2State,
-    ) -> Result<ReplicaStep<Astro2Msg<A::Sig>>, SyncError> {
-        let certified = Ledger::import(&state.ledger).map_err(|_| SyncError::Invalid)?;
-        // Never regress: xlogs, materialized dependencies, and stuck
-        // marks must all be supersets of the local state, or effects this
-        // replica already applied would vanish (and a dependency could
-        // re-materialize — a double credit).
-        for xlog in self.ledger.xlogs() {
-            if certified.next_seq(xlog.owner()) < xlog.next_seq() {
-                return Err(SyncError::Stale);
+        pending: &[(Payment, Vec<Vec<u8>>)],
+        used_deps: &[PaymentId],
+        stuck: &[ClientId],
+        certs: &[(ClientId, Vec<Vec<u8>>)],
+        outbox: &[(ReplicaId, Vec<Payment>)],
+    ) {
+        self.queue_all(pending);
+        self.proto.used_deps = used_deps.iter().copied().collect();
+        self.proto.stuck = stuck.iter().copied().collect();
+        for (client, certs) in certs {
+            let decoded = AstroTwo::<A>::decode_deps(certs);
+            if !decoded.is_empty() {
+                self.proto.rep_deps.insert(*client, decoded);
             }
         }
-        let certified_deps: HashSet<PaymentId> = state.used_deps.iter().copied().collect();
-        if !self.used_deps.is_subset(&certified_deps) {
-            return Err(SyncError::Stale);
+        for (dest, bundle) in outbox {
+            self.proto.restore_outbox_entry(*dest, bundle.clone());
         }
-        let certified_stuck: HashSet<ClientId> = state.stuck.iter().copied().collect();
-        if !self.stuck.is_subset(&certified_stuck) {
-            return Err(SyncError::Stale);
-        }
-        let mut installed: Vec<Payment> = Vec::new();
-        for xlog in certified.xlogs() {
-            let have = self.ledger.xlog(xlog.owner()).map_or(0, crate::xlog::XLog::len);
-            installed.extend(xlog.iter().skip(have).copied());
-        }
-        self.ledger = certified;
-        self.used_deps = certified_deps;
-        self.stuck = certified_stuck;
-        self.pending = PendingQueue::new();
-        for (payment, deps) in &state.pending {
-            let decoded: Vec<DependencyCertificate<A::Sig>> =
-                deps.iter().filter_map(|bytes| decode_exact(bytes).ok()).collect();
-            self.pending.push(*payment, decoded);
-        }
-        if state.next_tag > self.next_tag {
-            // Journaled even though a snapshot follows: tag reuse is the
-            // one recovery error a later catch-up cannot repair.
-            self.journal.rec(&WalRecord::OwnTag { tag: state.next_tag - 1 });
-            self.next_tag = state.next_tag;
-        }
-        let mut out = ReplicaStep { outbound: Vec::new(), settled: installed };
-        // Astro II's broadcast delivers unordered, so `cursors` is empty
-        // and nothing is ever gap-blocked — but mirror the Astro I flow
-        // (advance-and-release, then apply) so a FIFO-configured
-        // deployment would stay correct too.
-        for (source, next) in &state.cursors {
-            for delivery in self.brb.advance_cursor_releasing(*source, *next) {
-                self.apply_batch(delivery.id, delivery.payload, &mut out);
-            }
-        }
-        // The caught-up prefix is dead weight in the broadcast layer now.
-        self.brb.gc_delivered();
-        self.snapshot_requested = true;
-        // Rebuild the certificate store: ask every potential donor to
-        // replay CREDITs that died with the link while this replica was
-        // down (or that it certified and then lost non-durably).
-        out.outbound.extend(self.credit_request_envelopes());
-        Ok(out)
-    }
-}
-
-/// The settle attempt, free of `self` so the pending-queue cascade can call
-/// it while the queue itself is mutably borrowed.
-#[allow(clippy::too_many_arguments)]
-fn attempt_settle_inner<A: Authenticator>(
-    ledger: &mut Ledger,
-    auth: &A,
-    layout: &ShardLayout,
-    groups: &[Group],
-    used_deps: &mut HashSet<PaymentId>,
-    cert_cache: &mut CertCache,
-    stuck: &mut HashSet<ClientId>,
-    journal: &mut JournalSlot,
-    mode: CreditMode,
-    my_shard: ShardId,
-    p: &Payment,
-    deps: &[DependencyCertificate<A::Sig>],
-) -> SettleOutcome {
-    let next = ledger.next_seq(p.spender);
-    if p.seq > next {
-        return SettleOutcome::FutureSeq;
-    }
-    if p.seq < next {
-        return SettleOutcome::StaleSeq;
-    }
-    if stuck.contains(&p.spender) {
-        // The xlog is stuck (Listing 9's early return dropped a payment);
-        // successors can never settle.
-        return SettleOutcome::StaleSeq;
-    }
-    // Materialize dependencies (Listing 9: `newDeps`, `usedDeps`,
-    // `bal += balanceOf(newDeps)`) — before the funds check, and kept even
-    // if the payment is then rejected.
-    for cert in deps {
-        let Some(first) = cert.bundle.first() else { continue };
-        let settling_shard = layout.shard_of_client(first.spender);
-        if !cert.bundle.iter().all(|d| layout.shard_of_client(d.spender) == settling_shard) {
-            continue;
-        }
-        let group = &groups[settling_shard.0 as usize];
-        // One signature-verification pass per certificate per replica: a
-        // cache hit (content digest over bundle *and* proofs) skips the
-        // f+1 signature checks; only fully verified certs are admitted.
-        let digest = cert_digest(cert);
-        if cert_cache.contains(&digest) {
-            cert_cache.hits += 1;
-        } else {
-            cert_cache.misses += 1;
-            if !verify_certificate(cert, group, auth) {
-                continue;
-            }
-            cert_cache.admit(digest);
-        }
-        for d in cert.credits_for(p.spender) {
-            if used_deps.insert(d.id()) {
-                journal.rec(&WalRecord::DepUsed { dep: *d });
-                ledger.credit(p.spender, d.amount);
-            }
-        }
-    }
-    let direct_credit =
-        mode == CreditMode::DirectIntraShard && layout.shard_of_client(p.beneficiary) == my_shard;
-    match ledger.settle(p, direct_credit) {
-        SettleOutcome::InsufficientFunds if mode == CreditMode::Certificates => {
-            // Listing 9's `if bal[Alice] < x: return` — the payment is
-            // dropped at every correct replica identically, and the xlog
-            // can never advance past this gap.
-            journal.rec(&WalRecord::Stuck { client: p.spender });
-            stuck.insert(p.spender);
-            SettleOutcome::StaleSeq
-        }
-        SettleOutcome::Applied => {
-            journal.rec(&WalRecord::Settle { payment: *p, credit_beneficiary: direct_credit });
-            SettleOutcome::Applied
-        }
-        outcome => outcome,
     }
 }
 
@@ -2080,7 +1560,7 @@ mod tests {
         // Steal the certificate from client 1's representative and attach
         // it to TWO consecutive payments (double-deposit attempt).
         let rep1 = layout.representative_of(ClientId(1));
-        let cert = c.node(rep1.0 as usize).rep_deps.get(&ClientId(1)).unwrap()[0].clone();
+        let cert = c.node(rep1.0 as usize).proto.rep_deps.get(&ClientId(1)).unwrap()[0].clone();
         let node = c.node_mut(rep1.0 as usize);
         node.batch.push(DepPayment {
             payment: Payment::new(1u64, 0u64, 2u64, 10u64),
@@ -2234,7 +1714,7 @@ mod tests {
         // Steal the genuine certificate and inflate the bundled amount:
         // the signatures no longer cover the bundle.
         let rep1 = layout.representative_of(ClientId(1));
-        let mut cert = c.node(rep1.0 as usize).rep_deps.get(&ClientId(1)).unwrap()[0].clone();
+        let mut cert = c.node(rep1.0 as usize).proto.rep_deps.get(&ClientId(1)).unwrap()[0].clone();
         cert.bundle[0].amount = Amount(1_000_000);
         let node = c.node_mut(rep1.0 as usize);
         node.batch
@@ -2341,7 +1821,7 @@ mod tests {
         pay(&mut c, &layout, Payment::new(0u64, 0u64, 1u64, 30u64));
         c.run_to_quiescence();
         let rep1 = layout.representative_of(ClientId(1));
-        let cert = c.node(rep1.0 as usize).rep_deps.get(&ClientId(1)).unwrap()[0].clone();
+        let cert = c.node(rep1.0 as usize).proto.rep_deps.get(&ClientId(1)).unwrap()[0].clone();
         // Future-sequence payment (seq 1 before seq 0) with the cert: it
         // must queue, deps unconsumed, at every replica.
         let node = c.node_mut(rep1.0 as usize);
@@ -2468,7 +1948,7 @@ mod tests {
         c.run_to_quiescence();
         // Pick a settling replica with an outbox entry and forge acks.
         let donor = (0..4).find(|&i| c.node(i).outbox_depth() == 1).unwrap();
-        let digest = *c.node(donor).outbox.keys().next().unwrap();
+        let digest = *c.node(donor).proto.outbox.keys().next().unwrap();
         let auth = MacAuthenticator::new(ReplicaId(3), b"astro2".to_vec());
         let good_ctx = credit_ack_context(&[digest]);
         // (a) valid signature, wrong sender (not the entry's destination).
@@ -2505,8 +1985,8 @@ mod tests {
         // (acks ride the flush tick), so no outbox entry survives — only
         // settled history can replay it.
         tick_flushes(&mut c, 1);
-        c.node_mut(idx).rep_deps.clear();
-        c.node_mut(idx).partial.clear();
+        c.node_mut(idx).proto.rep_deps.clear();
+        c.node_mut(idx).proto.partial.clear();
         for i in 0..4 {
             assert_eq!(c.node(i).outbox_depth(), 0);
         }
@@ -2554,5 +2034,49 @@ mod tests {
         // The state served to catching-up peers clears the (donor-local)
         // outbox, like the certificate store.
         assert!(restored.sync_state(rep1).outbox.is_empty());
+    }
+
+    impl crate::replica::shared_tests::Fixture for AstroTwo<MacAuthenticator> {
+        fn key(i: u32) -> MacAuthenticator {
+            MacAuthenticator::new(ReplicaId(i), b"astro2".to_vec())
+        }
+
+        fn config() -> Astro2Config {
+            cfg(CreditMode::Certificates)
+        }
+
+        fn state(ledger: crate::journal::LedgerState, queued: Vec<Payment>) -> Astro2State {
+            Astro2State {
+                ledger,
+                pending: queued.into_iter().map(|p| (p, Vec::new())).collect(),
+                used_deps: Vec::new(),
+                stuck: Vec::new(),
+                certs: Vec::new(),
+                outbox: Vec::new(),
+                next_tag: 0,
+                cursors: Vec::new(),
+            }
+        }
+    }
+
+    #[test]
+    fn chunked_catchup_round_trips_large_history() {
+        crate::replica::shared_tests::chunked_catchup_round_trips_large_history::<
+            AstroTwo<MacAuthenticator>,
+        >();
+    }
+
+    #[test]
+    fn sync_frames_stay_below_the_wire_cap_for_giant_states() {
+        crate::replica::shared_tests::sync_frames_stay_below_the_wire_cap_for_giant_states::<
+            AstroTwo<MacAuthenticator>,
+        >();
+    }
+
+    #[test]
+    fn oversized_volatile_head_is_refused_with_a_typed_error() {
+        crate::replica::shared_tests::oversized_volatile_head_is_refused_with_a_typed_error::<
+            AstroTwo<MacAuthenticator>,
+        >();
     }
 }

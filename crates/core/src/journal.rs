@@ -565,6 +565,103 @@ impl Wire for Astro2Snapshot {
     }
 }
 
+/// The sections of a full replica state ([`Astro1State`],
+/// [`Astro2State`]) the shared catch-up and recovery code works on.
+pub trait SyncState: Wire {
+    /// The settlement state.
+    fn ledger(&self) -> &LedgerState;
+    /// The settlement state, mutably (history-block split and merge).
+    fn ledger_mut(&mut self) -> &mut LedgerState;
+    /// The replica's own next broadcast tag.
+    fn next_tag(&self) -> u64;
+    /// The next broadcast tag, mutably (reinterpreted for a requester).
+    fn next_tag_mut(&mut self) -> &mut u64;
+    /// BRB delivery cursors, ascending by source.
+    fn cursors(&self) -> &[(u64, u64)];
+    /// Clears the replica-local sections before the state is served to a
+    /// catching-up peer: donors do not share them, and leaving them in
+    /// would break the byte-identical `f+1` match. Default: none.
+    fn strip_local(&mut self) {}
+}
+
+/// The sections of a residual snapshot ([`Astro1Snapshot`],
+/// [`Astro2Snapshot`]) the shared recovery code works on.
+pub trait ResidualState: Wire {
+    /// Checkpoint segments this snapshot builds on.
+    fn sealed_segments(&self) -> u64;
+    /// The replica's own next broadcast tag.
+    fn next_tag(&self) -> u64;
+    /// BRB delivery cursors, ascending by source.
+    fn cursors(&self) -> &[(u64, u64)];
+}
+
+impl SyncState for Astro1State {
+    fn ledger(&self) -> &LedgerState {
+        &self.ledger
+    }
+    fn ledger_mut(&mut self) -> &mut LedgerState {
+        &mut self.ledger
+    }
+    fn next_tag(&self) -> u64 {
+        self.next_tag
+    }
+    fn next_tag_mut(&mut self) -> &mut u64 {
+        &mut self.next_tag
+    }
+    fn cursors(&self) -> &[(u64, u64)] {
+        &self.cursors
+    }
+}
+
+impl SyncState for Astro2State {
+    fn ledger(&self) -> &LedgerState {
+        &self.ledger
+    }
+    fn ledger_mut(&mut self) -> &mut LedgerState {
+        &mut self.ledger
+    }
+    fn next_tag(&self) -> u64 {
+        self.next_tag
+    }
+    fn next_tag_mut(&mut self) -> &mut u64 {
+        &mut self.next_tag
+    }
+    fn cursors(&self) -> &[(u64, u64)] {
+        &self.cursors
+    }
+    /// The representative certificate store and the CREDIT retry outbox
+    /// are replica-local: donors hold neither the requester's clients'
+    /// certificates nor its delivery debts.
+    fn strip_local(&mut self) {
+        self.certs = Vec::new();
+        self.outbox = Vec::new();
+    }
+}
+
+impl ResidualState for Astro1Snapshot {
+    fn sealed_segments(&self) -> u64 {
+        self.sealed_segments
+    }
+    fn next_tag(&self) -> u64 {
+        self.next_tag
+    }
+    fn cursors(&self) -> &[(u64, u64)] {
+        &self.cursors
+    }
+}
+
+impl ResidualState for Astro2Snapshot {
+    fn sealed_segments(&self) -> u64 {
+        self.sealed_segments
+    }
+    fn next_tag(&self) -> u64 {
+        self.next_tag
+    }
+    fn cursors(&self) -> &[(u64, u64)] {
+        &self.cursors
+    }
+}
+
 /// Why a recovered snapshot + checkpoint-segment combination could not be
 /// turned back into a replica.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

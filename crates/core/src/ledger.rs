@@ -86,6 +86,11 @@ impl Ledger {
         }
     }
 
+    /// The genesis balance of every client.
+    pub fn initial_balance(&self) -> Amount {
+        self.initial_balance
+    }
+
     #[inline]
     fn account(&self, client: ClientId) -> Option<&Account> {
         if client.0 < DENSE_LIMIT {

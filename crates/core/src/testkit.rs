@@ -149,24 +149,8 @@ impl<N: PaymentNode> PaymentCluster<N> {
     }
 }
 
-impl PaymentNode for crate::astro1::AstroOneReplica {
-    type Msg = crate::astro1::Astro1Msg;
-
-    fn id(&self) -> ReplicaId {
-        self.id()
-    }
-
-    fn group_members(&self) -> Vec<ReplicaId> {
-        self.group().members().to_vec()
-    }
-
-    fn on_message(&mut self, from: ReplicaId, msg: Self::Msg) -> ReplicaStep<Self::Msg> {
-        self.handle(from, msg)
-    }
-}
-
-impl<A: astro_types::Authenticator> PaymentNode for crate::astro2::AstroTwoReplica<A> {
-    type Msg = crate::astro2::Astro2Msg<A::Sig>;
+impl<P: crate::Protocol> PaymentNode for crate::Replica<P> {
+    type Msg = P::Msg;
 
     fn id(&self) -> ReplicaId {
         self.id()

@@ -2,12 +2,11 @@
 //! with a kill-and-restart-from-disk path.
 //!
 //! The non-durable clusters lose every xlog and balance when a replica
-//! thread dies. The durable entry points wrap each replica in a
-//! [`DurableNode`]: the replica journals its state-machine effects into a
-//! per-replica WAL (group commit), the driver snapshots periodically
-//! (atomic rename install + WAL truncation), and
-//! [`AstroOneCluster::restart_replica`] /
-//! [`AstroTwoCluster::restart_replica`] bring a killed replica back from
+//! thread dies. Durable clusters ([`ClusterBuilder::durable`]) wrap each
+//! replica in a [`DurableNode`]: the replica journals its state-machine
+//! effects into a per-replica WAL (group commit), the driver snapshots
+//! periodically (atomic rename install + WAL truncation), and
+//! [`AstroCluster::restart_replica`] brings a killed replica back from
 //! `snapshot + WAL`, rebinding its listen address so the surviving
 //! replicas' redial path (astro-net) reattaches it to the mesh.
 //!
@@ -20,21 +19,15 @@
 //! messages on the wire are lost, and recovering them is the client-retry
 //! / state-transfer story (paper Appendix A), not the storage layer's.
 
-use crate::{Astro1Config, Astro2Config, Cluster, ClusterError, RuntimeNode};
-use astro_core::astro1::AstroOneReplica;
-use astro_core::astro2::AstroTwoReplica;
-use astro_core::journal::{Astro1Snapshot, Astro2Snapshot};
-use astro_core::{ReplicaStep, SubmitError};
-use astro_net::{TcpEndpoint, TcpTransport, Transport};
+#[cfg(doc)]
+use crate::{AstroCluster, ClusterBuilder};
+use crate::{ClusterError, Hosted, RuntimeNode};
+use astro_core::{Protocol, Replica, ReplicaStep, SubmitError};
 use astro_store::{SharedStorage, Storage, StoreConfig};
 use astro_types::wire::{decode_exact, Wire};
-use astro_types::{
-    Amount, ClientId, Keychain, Payment, ReplicaId, SchnorrAuthenticator, ShardLayout,
-};
+use astro_types::{Amount, ClientId, Keychain, Payment, ReplicaId, ShardLayout};
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
 
 /// Deterministic demo keychains for local clusters.
 ///
@@ -100,13 +93,16 @@ pub trait PersistentNode: RuntimeNode {
     }
 }
 
-impl PersistentNode for AstroOneReplica {
+impl<P: Hosted> PersistentNode for Replica<P>
+where
+    Replica<P>: Send,
+{
     fn set_journal(&mut self, journal: Box<dyn astro_core::journal::Journal>) {
-        AstroOneReplica::set_journal(self, journal);
+        Replica::set_journal(self, journal);
     }
 
     fn seal_checkpoint_records(&mut self) -> Vec<Vec<u8>> {
-        AstroOneReplica::seal_checkpoint(self)
+        Replica::seal_checkpoint(self)
     }
 
     fn residual_state_bytes(&self, sealed_segments: u64) -> Vec<u8> {
@@ -114,49 +110,19 @@ impl PersistentNode for AstroOneReplica {
     }
 
     fn rebaseline(&mut self) {
-        AstroOneReplica::rebaseline(self);
+        Replica::rebaseline(self);
     }
 
     fn prune_delivered(&mut self) {
-        AstroOneReplica::prune_delivered(self);
+        Replica::prune_delivered(self);
     }
 
     fn begin_catchup(&mut self) {
-        AstroOneReplica::begin_catchup_with_fallback(self);
+        Replica::begin_catchup_with_fallback(self);
     }
 
     fn take_snapshot_request(&mut self) -> bool {
-        AstroOneReplica::take_snapshot_request(self)
-    }
-}
-
-impl PersistentNode for AstroTwoReplica<SchnorrAuthenticator> {
-    fn set_journal(&mut self, journal: Box<dyn astro_core::journal::Journal>) {
-        AstroTwoReplica::set_journal(self, journal);
-    }
-
-    fn seal_checkpoint_records(&mut self) -> Vec<Vec<u8>> {
-        AstroTwoReplica::seal_checkpoint(self)
-    }
-
-    fn residual_state_bytes(&self, sealed_segments: u64) -> Vec<u8> {
-        self.residual_state(sealed_segments).to_wire_bytes()
-    }
-
-    fn rebaseline(&mut self) {
-        AstroTwoReplica::rebaseline(self);
-    }
-
-    fn prune_delivered(&mut self) {
-        AstroTwoReplica::prune_delivered(self);
-    }
-
-    fn begin_catchup(&mut self) {
-        AstroTwoReplica::begin_catchup_with_fallback(self);
-    }
-
-    fn take_snapshot_request(&mut self) -> bool {
-        AstroTwoReplica::take_snapshot_request(self)
+        Replica::take_snapshot_request(self)
     }
 }
 
@@ -361,504 +327,66 @@ impl<N: PersistentNode> RuntimeNode for DurableNode<N> {
     }
 }
 
-/// Everything a TCP cluster needs to bring one replica back: per-replica
-/// key material (transport and, for Astro II, signing), the fixed listen
-/// addresses, the replica config, the timing knobs, and — on durable
-/// clusters — the storage root. A replica restarted without storage
-/// returns empty and recovers the full ledger from its peers through the
-/// catch-up state transfer; with storage it recovers `snapshot + WAL`
-/// locally first and fetches only the settled delta.
-#[derive(Debug)]
-pub(crate) struct RestartMeta<C> {
-    pub keychains: Vec<Keychain>,
-    /// Signing keychains (Astro II; empty for Astro I).
-    pub signing: Vec<Keychain>,
-    pub addrs: Vec<SocketAddr>,
-    pub cfg: C,
-    pub flush_every: Duration,
-    /// `Some(root, policy)` when the cluster journals to disk.
-    pub storage: Option<(PathBuf, StoreConfig)>,
-}
-
-impl<C> RestartMeta<C> {
-    /// Rebinds replica `i`'s listener and re-establishes its endpoint.
-    /// The old endpoint's acceptor releases the port asynchronously after
-    /// a kill, so binding retries briefly.
-    fn establish_endpoint(&self, i: usize) -> Result<TcpEndpoint, ClusterError> {
-        let addr = self.addrs[i];
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let listener = loop {
-            match TcpListener::bind(addr) {
-                Ok(l) => break l,
-                Err(e) => {
-                    if Instant::now() >= deadline {
-                        // A bind failure is a network problem, not a
-                        // storage one.
-                        return Err(ClusterError::Net(astro_net::NetError::Io(e)));
-                    }
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-            }
-        };
-        let peer_addrs: Vec<Option<SocketAddr>> =
-            self.addrs.iter().enumerate().map(|(j, a)| (j != i).then_some(*a)).collect();
-        Ok(TcpEndpoint::establish(self.keychains[i].clone(), listener, peer_addrs)?)
-    }
-}
-
 /// Per-replica storage directory under the cluster root.
 fn replica_dir(root: &Path, i: usize) -> PathBuf {
     root.join(format!("replica-{i}"))
 }
 
-/// Opens replica `i`'s store and recovers an Astro I node from
-/// `checkpoint segments + residual snapshot + WAL`.
-fn recover_astro1(
+/// Opens replica `i`'s store and recovers a node from
+/// `checkpoint segments + residual snapshot + WAL`. `key` must carry the
+/// same identity as the crashed incarnation.
+pub(crate) fn recover<P: Hosted>(
     root: &Path,
     i: usize,
+    key: P::Key,
     layout: ShardLayout,
-    cfg: Astro1Config,
+    cfg: P::Config,
     store_cfg: &StoreConfig,
-) -> Result<DurableNode<AstroOneReplica>, ClusterError> {
+) -> Result<DurableNode<Replica<P>>, ClusterError>
+where
+    Replica<P>: Send,
+{
     let (storage, recovered) = Storage::open(replica_dir(root, i), store_cfg.clone())?;
-    let me = ReplicaId(i as u32);
     let (mut node, segments) = match &recovered.snapshot {
         Some(bytes) => {
-            let residual: Astro1Snapshot =
+            let residual: <P as Protocol>::Snapshot =
                 decode_exact(bytes).map_err(|_| ClusterError::Recovery("snapshot decode"))?;
-            let node = AstroOneReplica::restore_from_checkpoints(
-                me,
+            let node = Replica::<P>::restore_from_checkpoints(
+                key,
                 layout,
                 cfg,
                 &recovered.checkpoints,
                 &residual,
             )
             .map_err(|_| ClusterError::Recovery("checkpoint chain invariants"))?;
-            (node, residual.sealed_segments)
+            (node, astro_core::journal::ResidualState::sealed_segments(&residual))
         }
-        None => (AstroOneReplica::new(me, layout, cfg), 0),
+        None => (Replica::<P>::new(key, layout, cfg), 0),
     };
     for record in &recovered.records {
         node.replay(record);
     }
     node.finish_recovery();
     Ok(DurableNode::with_segments(node, SharedStorage::new(storage), segments))
-}
-
-/// Opens replica `i`'s store and recovers an Astro II node from
-/// `checkpoint segments + residual snapshot + WAL`. `auth` must carry the
-/// same signing identity as the crashed incarnation.
-fn recover_astro2(
-    root: &Path,
-    i: usize,
-    auth: SchnorrAuthenticator,
-    layout: ShardLayout,
-    cfg: Astro2Config,
-    store_cfg: &StoreConfig,
-) -> Result<DurableNode<AstroTwoReplica<SchnorrAuthenticator>>, ClusterError> {
-    let (storage, recovered) = Storage::open(replica_dir(root, i), store_cfg.clone())?;
-    let (mut node, segments) = match &recovered.snapshot {
-        Some(bytes) => {
-            let residual: Astro2Snapshot =
-                decode_exact(bytes).map_err(|_| ClusterError::Recovery("snapshot decode"))?;
-            let node = AstroTwoReplica::restore_from_checkpoints(
-                auth,
-                layout,
-                cfg,
-                &recovered.checkpoints,
-                &residual,
-            )
-            .map_err(|_| ClusterError::Recovery("checkpoint chain invariants"))?;
-            (node, residual.sealed_segments)
-        }
-        None => (AstroTwoReplica::new(auth, layout, cfg), 0),
-    };
-    for record in &recovered.records {
-        node.replay(record);
-    }
-    node.finish_recovery();
-    Ok(DurableNode::with_segments(node, SharedStorage::new(storage), segments))
-}
-
-/// The deterministic seed Astro II signing keys derive from in durable
-/// (and demo) clusters; independent of the transport keychains.
-pub(crate) const ASTRO2_SIGNING_SEED: &[u8] = b"astro-runtime-astro2";
-
-impl crate::AstroOneCluster {
-    /// Starts a durable Astro I cluster over loopback TCP: one storage
-    /// directory per replica under `dir`, WAL group commit, periodic
-    /// snapshots. Key material from [`demo_keychains`] — **demo/test
-    /// only**, see there; deployments call
-    /// [`start_tcp_durable_with_keychains`](Self::start_tcp_durable_with_keychains).
-    ///
-    /// # Errors
-    ///
-    /// Fails if `n < 4`, the mesh cannot be established, storage cannot
-    /// be opened, or recovered state is invalid.
-    pub fn start_tcp_durable(
-        n: usize,
-        dir: impl Into<PathBuf>,
-        cfg: Astro1Config,
-        flush_every: Duration,
-    ) -> Result<Self, ClusterError> {
-        Self::start_tcp_durable_with_keychains(
-            demo_keychains(n),
-            dir,
-            cfg,
-            flush_every,
-            StoreConfig::default(),
-        )
-    }
-
-    /// Starts a durable Astro I cluster over loopback TCP with
-    /// caller-provided transport keychains (pre-distributed key pairs,
-    /// §III) and an explicit durability policy.
-    ///
-    /// Each replica journals to `dir/replica-<i>/` and recovers whatever
-    /// a previous incarnation left there, so starting twice from the same
-    /// directory resumes the ledger.
-    ///
-    /// # Errors
-    ///
-    /// Fails if fewer than 4 keychains are given, the mesh cannot be
-    /// established, storage cannot be opened, or recovered state is
-    /// invalid.
-    pub fn start_tcp_durable_with_keychains(
-        keychains: Vec<Keychain>,
-        dir: impl Into<PathBuf>,
-        cfg: Astro1Config,
-        flush_every: Duration,
-        store: StoreConfig,
-    ) -> Result<Self, ClusterError> {
-        Self::start_tcp_durable_with_keychains_observed(
-            keychains,
-            dir,
-            cfg,
-            flush_every,
-            store,
-            None,
-        )
-    }
-
-    /// [`start_tcp_durable`](Self::start_tcp_durable) with a metric
-    /// registry attached — on top of the transport/protocol/driver
-    /// instrumentation, each replica's store records WAL append/fsync
-    /// latencies, group-commit batch sizes, and snapshot costs.
-    ///
-    /// # Errors
-    ///
-    /// As [`start_tcp_durable`](Self::start_tcp_durable).
-    pub fn start_tcp_durable_observed(
-        n: usize,
-        dir: impl Into<PathBuf>,
-        cfg: Astro1Config,
-        flush_every: Duration,
-        registry: std::sync::Arc<astro_obs::Registry>,
-    ) -> Result<Self, ClusterError> {
-        Self::start_tcp_durable_with_keychains_observed(
-            demo_keychains(n),
-            dir,
-            cfg,
-            flush_every,
-            StoreConfig::default(),
-            Some(registry),
-        )
-    }
-
-    /// [`start_tcp_durable_with_keychains`](Self::start_tcp_durable_with_keychains)
-    /// with an optional metric registry; see
-    /// [`start_tcp_durable_observed`](Self::start_tcp_durable_observed).
-    ///
-    /// # Errors
-    ///
-    /// As [`start_tcp_durable_with_keychains`](Self::start_tcp_durable_with_keychains).
-    pub fn start_tcp_durable_with_keychains_observed(
-        keychains: Vec<Keychain>,
-        dir: impl Into<PathBuf>,
-        cfg: Astro1Config,
-        flush_every: Duration,
-        store: StoreConfig,
-        registry: Option<std::sync::Arc<astro_obs::Registry>>,
-    ) -> Result<Self, ClusterError> {
-        let n = keychains.len();
-        if n < 4 {
-            return Err(ClusterError::TooSmall { n });
-        }
-        let layout = crate::single_layout(n)?;
-        let dir = dir.into();
-        let endpoints = TcpTransport::loopback(keychains.clone())?.into_endpoints();
-        let addrs: Vec<SocketAddr> = endpoints.iter().map(TcpEndpoint::listen_addr).collect();
-        let nodes = (0..n)
-            .map(|i| recover_astro1(&dir, i, layout.clone(), cfg.clone(), &store))
-            .collect::<Result<Vec<_>, _>>()?;
-        let inner = Cluster::start_endpoints_observed(
-            nodes,
-            endpoints,
-            layout,
-            flush_every,
-            None,
-            registry,
-        )?;
-        Ok(crate::AstroOneCluster {
-            inner,
-            meta: Some(RestartMeta {
-                keychains,
-                signing: Vec::new(),
-                addrs,
-                cfg,
-                flush_every,
-                storage: Some((dir, store)),
-            }),
-        })
-    }
-
-    /// Kills replica `i` without any final flush — a simulated power
-    /// loss. See [`Cluster::kill_replica`].
-    ///
-    /// # Errors
-    ///
-    /// Fails if the replica is not running.
-    pub fn kill_replica(&mut self, i: usize) -> Result<(), ClusterError> {
-        self.inner.kill_replica(i)
-    }
-
-    /// Restarts a killed replica and rejoins it to the live quorum:
-    /// recover `snapshot + longest valid WAL prefix` locally (durable
-    /// clusters; non-durable TCP clusters restart empty), rebind the
-    /// replica's listen address (surviving replicas redial on their next
-    /// send), then run the peer catch-up handshake — the returning
-    /// replica requests the settled delta from its peers, installs it
-    /// once `f+1` byte-identical copies certify, and only then resumes
-    /// broadcast delivery. Payments the quorum settled *during the
-    /// downtime* are therefore recovered without any client
-    /// resubmission.
-    ///
-    /// # Errors
-    ///
-    /// Fails on in-process clusters ([`ClusterError::NotRestartable`]),
-    /// if the replica is still running, or if storage/recovery fails.
-    pub fn restart_replica(&mut self, i: usize) -> Result<(), ClusterError> {
-        let meta = self.meta.as_ref().ok_or(ClusterError::NotRestartable)?;
-        if self.inner.is_running(i) {
-            return Err(ClusterError::ReplicaRunning(i));
-        }
-        let layout = self.inner.layout().clone();
-        let flush_every = meta.flush_every;
-        match &meta.storage {
-            Some((dir, store)) => {
-                let mut node = recover_astro1(dir, i, layout, meta.cfg.clone(), store)?;
-                node.begin_catchup();
-                let endpoint = meta.establish_endpoint(i)?;
-                self.inner.respawn(i, node, endpoint, flush_every)
-            }
-            None => {
-                let mut node = AstroOneReplica::new(ReplicaId(i as u32), layout, meta.cfg.clone());
-                node.begin_catchup();
-                let endpoint = meta.establish_endpoint(i)?;
-                self.inner.respawn(i, node, endpoint, flush_every)
-            }
-        }
-    }
-}
-
-impl crate::AstroTwoCluster {
-    /// Starts a durable Astro II cluster over loopback TCP; the Astro II
-    /// analogue of [`AstroOneCluster::start_tcp_durable`]. Transport *and
-    /// signing* key material derive from fixed public seeds —
-    /// **demo/test only**: anyone can reconstruct every replica's secret
-    /// keys; see [`demo_keychains`].
-    ///
-    /// # Errors
-    ///
-    /// As [`AstroOneCluster::start_tcp_durable`].
-    pub fn start_tcp_durable(
-        n: usize,
-        dir: impl Into<PathBuf>,
-        cfg: Astro2Config,
-        flush_every: Duration,
-    ) -> Result<Self, ClusterError> {
-        Self::start_tcp_durable_with_keychains(
-            demo_keychains(n),
-            Keychain::deterministic_system(ASTRO2_SIGNING_SEED, n),
-            dir,
-            cfg,
-            flush_every,
-            StoreConfig::default(),
-        )
-    }
-
-    /// Starts a durable Astro II cluster over loopback TCP with
-    /// caller-provided key material — `keychains` authenticate the
-    /// transport links, `signing` holds the Schnorr keys the protocol
-    /// signs ACKs, commit proofs, and CREDIT certificates with (both
-    /// pre-distributed, §III) — and an explicit durability policy.
-    /// Signing identities survive restarts.
-    ///
-    /// # Errors
-    ///
-    /// As [`AstroOneCluster::start_tcp_durable_with_keychains`], plus a
-    /// transport/signing keychain count mismatch.
-    pub fn start_tcp_durable_with_keychains(
-        keychains: Vec<Keychain>,
-        signing: Vec<Keychain>,
-        dir: impl Into<PathBuf>,
-        cfg: Astro2Config,
-        flush_every: Duration,
-        store: StoreConfig,
-    ) -> Result<Self, ClusterError> {
-        Self::start_tcp_durable_with_keychains_observed(
-            keychains,
-            signing,
-            dir,
-            cfg,
-            flush_every,
-            store,
-            None,
-        )
-    }
-
-    /// [`start_tcp_durable`](Self::start_tcp_durable) with a metric
-    /// registry attached; the Astro II analogue of
-    /// [`AstroOneCluster::start_tcp_durable_observed`], additionally
-    /// covering the verify pipeline.
-    ///
-    /// # Errors
-    ///
-    /// As [`start_tcp_durable`](Self::start_tcp_durable).
-    pub fn start_tcp_durable_observed(
-        n: usize,
-        dir: impl Into<PathBuf>,
-        cfg: Astro2Config,
-        flush_every: Duration,
-        registry: std::sync::Arc<astro_obs::Registry>,
-    ) -> Result<Self, ClusterError> {
-        Self::start_tcp_durable_with_keychains_observed(
-            demo_keychains(n),
-            Keychain::deterministic_system(ASTRO2_SIGNING_SEED, n),
-            dir,
-            cfg,
-            flush_every,
-            StoreConfig::default(),
-            Some(registry),
-        )
-    }
-
-    /// [`start_tcp_durable_with_keychains`](Self::start_tcp_durable_with_keychains)
-    /// with an optional metric registry; see
-    /// [`start_tcp_durable_observed`](Self::start_tcp_durable_observed).
-    ///
-    /// # Errors
-    ///
-    /// As [`start_tcp_durable_with_keychains`](Self::start_tcp_durable_with_keychains).
-    pub fn start_tcp_durable_with_keychains_observed(
-        keychains: Vec<Keychain>,
-        signing: Vec<Keychain>,
-        dir: impl Into<PathBuf>,
-        cfg: Astro2Config,
-        flush_every: Duration,
-        store: StoreConfig,
-        registry: Option<std::sync::Arc<astro_obs::Registry>>,
-    ) -> Result<Self, ClusterError> {
-        let n = keychains.len();
-        if n < 4 {
-            return Err(ClusterError::TooSmall { n });
-        }
-        if signing.len() != n {
-            return Err(ClusterError::KeychainMismatch { transport: n, signing: signing.len() });
-        }
-        let layout = crate::single_layout(n)?;
-        let dir = dir.into();
-        let endpoints = TcpTransport::loopback(keychains.clone())?.into_endpoints();
-        let addrs: Vec<SocketAddr> = endpoints.iter().map(TcpEndpoint::listen_addr).collect();
-        // Durable clusters run the default verify pipeline: signature
-        // super-batches verify on a shared worker pool against the
-        // *signing* key book, overlapping the replicas' event loops.
-        let pool = crate::VerifyMode::auto().build(signing[0].book().clone());
-        let nodes = signing
-            .iter()
-            .enumerate()
-            .map(|(i, kc)| {
-                let auth = match &pool {
-                    Some(pool) => SchnorrAuthenticator::with_cache(kc.clone(), pool.cache()),
-                    None => SchnorrAuthenticator::new(kc.clone()),
-                };
-                recover_astro2(&dir, i, auth, layout.clone(), cfg.clone(), &store)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let inner = Cluster::start_endpoints_observed(
-            nodes,
-            endpoints,
-            layout,
-            flush_every,
-            pool,
-            registry,
-        )?;
-        Ok(crate::AstroTwoCluster {
-            inner,
-            meta: Some(RestartMeta {
-                keychains,
-                signing,
-                addrs,
-                cfg,
-                flush_every,
-                storage: Some((dir, store)),
-            }),
-        })
-    }
-
-    /// Kills replica `i` without any final flush — a simulated power
-    /// loss. See [`Cluster::kill_replica`].
-    ///
-    /// # Errors
-    ///
-    /// Fails if the replica is not running.
-    pub fn kill_replica(&mut self, i: usize) -> Result<(), ClusterError> {
-        self.inner.kill_replica(i)
-    }
-
-    /// Restarts a killed replica and rejoins it to the live quorum; see
-    /// [`AstroOneCluster::restart_replica`] — recovery from disk where
-    /// the cluster is durable, then the peer catch-up handshake either
-    /// way.
-    ///
-    /// # Errors
-    ///
-    /// As [`AstroOneCluster::restart_replica`].
-    pub fn restart_replica(&mut self, i: usize) -> Result<(), ClusterError> {
-        let meta = self.meta.as_ref().ok_or(ClusterError::NotRestartable)?;
-        if self.inner.is_running(i) {
-            return Err(ClusterError::ReplicaRunning(i));
-        }
-        // Re-attach the restarted replica to the cluster's shared verify
-        // pipeline, so recovered nodes verify exactly like the others.
-        let auth = match self.inner.verify_pool() {
-            Some(pool) => SchnorrAuthenticator::with_cache(meta.signing[i].clone(), pool.cache()),
-            None => SchnorrAuthenticator::new(meta.signing[i].clone()),
-        };
-        let layout = self.inner.layout().clone();
-        let flush_every = meta.flush_every;
-        match &meta.storage {
-            Some((dir, store)) => {
-                let mut node = recover_astro2(dir, i, auth, layout, meta.cfg.clone(), store)?;
-                node.begin_catchup();
-                let endpoint = meta.establish_endpoint(i)?;
-                self.inner.respawn(i, node, endpoint, flush_every)
-            }
-            None => {
-                let mut node = AstroTwoReplica::new(auth, layout, meta.cfg.clone());
-                node.begin_catchup();
-                let endpoint = meta.establish_endpoint(i)?;
-                self.inner.respawn(i, node, endpoint, flush_every)
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use astro_core::astro1::Astro1Config;
-    use astro_net::InProcTransport;
+    use crate::Cluster;
+    use astro_core::astro1::{Astro1Config, AstroOne, AstroOneReplica};
+    use astro_net::{InProcTransport, Transport};
+    use std::time::Duration;
+
+    fn recover_astro1(
+        root: &Path,
+        i: usize,
+        layout: ShardLayout,
+        cfg: Astro1Config,
+        store_cfg: &StoreConfig,
+    ) -> Result<DurableNode<AstroOneReplica>, ClusterError> {
+        recover::<AstroOne>(root, i, ReplicaId(i as u32), layout, cfg, store_cfg)
+    }
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir =
@@ -883,11 +411,13 @@ mod tests {
             recover_astro1(&dir, 2, layout.clone(), cfg.clone(), &store_cfg).unwrap(),
             recover_astro1(&dir, 3, layout.clone(), cfg.clone(), &store_cfg).unwrap(),
         ];
-        let cluster = Cluster::start_endpoints(
+        let cluster = Cluster::start_endpoints_observed(
             nodes,
             InProcTransport::new(4).into_endpoints(),
             layout,
             Duration::from_millis(1),
+            None,
+            None,
         )
         .unwrap();
         for seq in 0..8u64 {
@@ -1007,7 +537,8 @@ mod tests {
         cluster.shutdown();
 
         let mut plain =
-            crate::AstroOneCluster::start(4, Astro1Config::default(), Duration::from_millis(1))
+            crate::AstroOneCluster::builder(4, Astro1Config::default(), Duration::from_millis(1))
+                .start()
                 .unwrap();
         plain.kill_replica(1).unwrap();
         assert!(

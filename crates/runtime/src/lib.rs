@@ -6,9 +6,9 @@
 //! messages between them, and real wall-clock batching timers. Two
 //! backends ship today:
 //!
-//! - [`InProcTransport`] — crossbeam channels, authenticated by
+//! - [`InProcTransport`](astro_net::InProcTransport) — crossbeam channels, authenticated by
 //!   construction: the deterministic-outcome baseline.
-//! - [`TcpTransport`] — real sockets with HMAC-authenticated sessions
+//! - [`TcpTransport`](astro_net::TcpTransport) — real sockets with HMAC-authenticated sessions
 //!   (paper §III's authenticated links made literal), one connection per
 //!   replica link, reconnect-on-drop.
 //!
@@ -17,7 +17,8 @@
 //! on receipt (a peer's malformed bytes are dropped, never a panic).
 //! [`AstroOneCluster`] runs Astro I (Bracha BRB); [`AstroTwoCluster`] runs
 //! Astro II (signature-based BRB with CREDIT certificates) under real
-//! Schnorr signatures.
+//! Schnorr signatures. Both are one [`AstroCluster`] type started through
+//! one [`ClusterBuilder`].
 //!
 //! # Examples
 //!
@@ -27,11 +28,12 @@
 //! use astro_types::{Amount, ClientId, Payment};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let cluster = AstroOneCluster::start(
+//! let cluster = AstroOneCluster::builder(
 //!     4,
 //!     Astro1Config { batch_size: 4, initial_balance: Amount(100) },
 //!     std::time::Duration::from_millis(1),
-//! )?;
+//! )
+//! .start()?;
 //! cluster.submit(Payment::new(1u64, 0u64, 2u64, 30u64))?;
 //! let settled = cluster.wait_settled(1, std::time::Duration::from_secs(5));
 //! assert_eq!(settled.len(), 1);
@@ -45,25 +47,23 @@
 
 #![warn(missing_docs)]
 
+pub mod cluster;
 pub mod durable;
 pub mod verify;
 
+pub use cluster::{AstroCluster, AstroOneCluster, AstroTwoCluster, ClusterBuilder, Hosted};
 pub use durable::{demo_keychains, DurableNode, PersistentNode};
 pub use verify::{Ticket, VerifyMode, VerifyPool};
 
 use astro_brb::Dest;
-use astro_core::astro1::{Astro1Config, Astro1Msg, AstroOneReplica};
-use astro_core::astro2::{Astro2Config, Astro2Msg, AstroTwoReplica};
-use astro_core::{CoreObs, ReplicaStep, SubmitError};
-use astro_net::{Endpoint, InProcTransport, NetError, TcpTransport, Transport};
+use astro_core::{CoreObs, Replica, ReplicaStep, SubmitError};
+use astro_net::{Endpoint, NetError};
 use astro_obs::{
     Counter, FlightRecorder, HealthConfig, HealthMonitor, Histogram, PaymentTracer, Registry,
     ServeHandle, Stage,
 };
 use astro_types::wire::{decode_exact, Wire};
-use astro_types::{
-    Amount, ClientId, ConfigError, Keychain, Payment, ReplicaId, SchnorrAuthenticator, ShardLayout,
-};
+use astro_types::{Amount, ClientId, ConfigError, Payment, ReplicaId, ShardLayout};
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
@@ -225,9 +225,9 @@ impl From<std::io::Error> for ClusterError {
 
 /// A replica state machine the threaded driver can host.
 ///
-/// Implemented by [`AstroOneReplica`] and Schnorr-backed
-/// [`AstroTwoReplica`]; the driver, cluster plumbing, and transports are
-/// shared.
+/// Implemented by every [`Replica`] of a [`Hosted`] protocol — Astro I
+/// and Schnorr-backed Astro II; the driver, cluster plumbing, and
+/// transports are shared.
 pub trait RuntimeNode: Send + 'static {
     /// The peer-to-peer message type.
     type Msg: Wire + Clone + Send + 'static;
@@ -293,19 +293,22 @@ fn ledger_balances(ledger: &astro_core::Ledger) -> HashMap<ClientId, Amount> {
     clients.into_iter().map(|c| (c, ledger.balance(c))).collect()
 }
 
-impl RuntimeNode for AstroOneReplica {
-    type Msg = Astro1Msg;
+impl<P: Hosted> RuntimeNode for Replica<P>
+where
+    Replica<P>: Send,
+{
+    type Msg = P::Msg;
 
     fn id(&self) -> ReplicaId {
-        AstroOneReplica::id(self)
+        Replica::id(self)
     }
 
     fn submit(&mut self, payment: Payment) -> Result<ReplicaStep<Self::Msg>, SubmitError> {
-        AstroOneReplica::submit(self, payment)
+        Replica::submit(self, payment)
     }
 
     fn handle(&mut self, from: ReplicaId, msg: Self::Msg) -> ReplicaStep<Self::Msg> {
-        let step = AstroOneReplica::handle(self, from, msg);
+        let step = Replica::handle(self, from, msg);
         if self.tracked_instances() >= BRB_GC_HIGH_WATER {
             self.prune_delivered();
         }
@@ -313,44 +316,7 @@ impl RuntimeNode for AstroOneReplica {
     }
 
     fn flush(&mut self) -> ReplicaStep<Self::Msg> {
-        AstroOneReplica::flush(self)
-    }
-
-    fn final_balances(&self) -> HashMap<ClientId, Amount> {
-        ledger_balances(self.ledger())
-    }
-
-    fn total_settled(&self) -> usize {
-        self.ledger().total_settled()
-    }
-
-    fn attach_registry(&mut self, registry: &Arc<Registry>) {
-        let me = AstroOneReplica::id(self).0;
-        self.set_obs(CoreObs::for_replica(registry, me));
-    }
-}
-
-impl RuntimeNode for AstroTwoReplica<SchnorrAuthenticator> {
-    type Msg = Astro2Msg<astro_crypto::Signature>;
-
-    fn id(&self) -> ReplicaId {
-        AstroTwoReplica::id(self)
-    }
-
-    fn submit(&mut self, payment: Payment) -> Result<ReplicaStep<Self::Msg>, SubmitError> {
-        AstroTwoReplica::submit(self, payment)
-    }
-
-    fn handle(&mut self, from: ReplicaId, msg: Self::Msg) -> ReplicaStep<Self::Msg> {
-        let step = AstroTwoReplica::handle(self, from, msg);
-        if self.tracked_instances() >= BRB_GC_HIGH_WATER {
-            self.prune_delivered();
-        }
-        step
-    }
-
-    fn flush(&mut self) -> ReplicaStep<Self::Msg> {
-        AstroTwoReplica::flush(self)
+        Replica::flush(self)
     }
 
     fn final_balances(&self) -> HashMap<ClientId, Amount> {
@@ -362,15 +328,15 @@ impl RuntimeNode for AstroTwoReplica<SchnorrAuthenticator> {
     }
 
     fn available_balance(&self, client: ClientId) -> Amount {
-        AstroTwoReplica::available_balance(self, client)
+        P::available_balance(self, client)
     }
 
     fn preverify(&self, from: ReplicaId, msg: &Self::Msg) -> Vec<astro_types::SigCheck> {
-        astro_core::astro2::sig_checks(from, msg)
+        P::preverify(from, msg)
     }
 
     fn attach_registry(&mut self, registry: &Arc<Registry>) {
-        let me = AstroTwoReplica::id(self).0;
+        let me = Replica::id(self).0;
         self.set_obs(CoreObs::for_replica(registry, me));
     }
 }
@@ -421,69 +387,6 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Starts `nodes` over `transport`; `nodes[i]` must be `ReplicaId(i)`
-    /// and the transport must provide one endpoint per node.
-    ///
-    /// # Errors
-    ///
-    /// Fails on a node/endpoint count mismatch.
-    pub fn start<N, T>(
-        nodes: Vec<N>,
-        transport: T,
-        layout: ShardLayout,
-        flush_every: Duration,
-    ) -> Result<Cluster, ClusterError>
-    where
-        N: RuntimeNode,
-        T: Transport,
-    {
-        Self::start_endpoints(nodes, transport.into_endpoints(), layout, flush_every)
-    }
-
-    /// Starts `nodes` over pre-built endpoints (`endpoints[i]` carries
-    /// `ReplicaId(i)`), for callers that need the endpoints' addresses
-    /// before handing them over (the durable TCP path).
-    ///
-    /// # Errors
-    ///
-    /// Fails on a node/endpoint count mismatch.
-    pub fn start_endpoints<N, E>(
-        nodes: Vec<N>,
-        endpoints: Vec<E>,
-        layout: ShardLayout,
-        flush_every: Duration,
-    ) -> Result<Cluster, ClusterError>
-    where
-        N: RuntimeNode,
-        E: Endpoint,
-    {
-        Self::start_endpoints_pooled(nodes, endpoints, layout, flush_every, None)
-    }
-
-    /// Starts `nodes` with an optional shared [`VerifyPool`]: inbound
-    /// message bursts are pre-verified on the pool's worker threads while
-    /// each replica's event loop keeps draining transport, and handled in
-    /// arrival order once their verdicts are cached. The nodes'
-    /// authenticators must share the pool's verdict cache
-    /// ([`VerifyPool::cache`]) for the pre-verification to pay off.
-    ///
-    /// # Errors
-    ///
-    /// Fails on a node/endpoint count mismatch.
-    pub fn start_endpoints_pooled<N, E>(
-        nodes: Vec<N>,
-        endpoints: Vec<E>,
-        layout: ShardLayout,
-        flush_every: Duration,
-        pool: Option<Arc<VerifyPool>>,
-    ) -> Result<Cluster, ClusterError>
-    where
-        N: RuntimeNode,
-        E: Endpoint,
-    {
-        Self::start_endpoints_observed(nodes, endpoints, layout, flush_every, pool, None)
-    }
-
     /// Starts `nodes` with an optional [`VerifyPool`] *and* an optional
     /// metric [`Registry`]: with a registry attached, every layer records
     /// into it — transport link counters, the verify pipeline, each
@@ -514,30 +417,44 @@ impl Cluster {
             pool.attach_registry(reg);
         }
         let settled = Arc::new(SettledBoard::new(n));
-        let mut seats = Vec::with_capacity(n);
-        for (mut node, mut endpoint) in nodes.into_iter().zip(endpoints) {
-            let obs = registry.as_ref().map(|reg| {
-                endpoint.attach_registry(reg);
-                node.attach_registry(reg);
-                DriverObs::for_replica(reg, node.id(), &layout)
-            });
-            let (tx, rx) = unbounded();
-            let settled_board = Arc::clone(&settled);
-            let pool = pool.clone();
-            let handle = std::thread::spawn(move || {
-                replica_main(
-                    &mut node,
-                    endpoint,
-                    &rx,
-                    &settled_board,
-                    flush_every,
-                    pool.as_deref(),
-                    obs.as_ref(),
-                )
-            });
-            seats.push(Seat { ctrl: tx, handle: Some(handle), last_result: None });
+        let mut cluster = Cluster { seats: Vec::with_capacity(n), settled, layout, pool, registry };
+        for (node, endpoint) in nodes.into_iter().zip(endpoints) {
+            let seat = cluster.spawn_seat(node, endpoint, flush_every);
+            cluster.seats.push(seat);
         }
-        Ok(Cluster { seats, settled, layout, pool, registry })
+        Ok(cluster)
+    }
+
+    /// Spawns one replica thread hosting `node` over `endpoint`. On an
+    /// observed cluster the node, its endpoint and the driver record into
+    /// the cluster's registry — a respawned incarnation into the same
+    /// handles its predecessor used.
+    fn spawn_seat<N: RuntimeNode, E: Endpoint>(
+        &self,
+        mut node: N,
+        mut endpoint: E,
+        flush_every: Duration,
+    ) -> Seat {
+        let obs = self.registry.as_ref().map(|reg| {
+            endpoint.attach_registry(reg);
+            node.attach_registry(reg);
+            DriverObs::for_replica(reg, node.id(), &self.layout)
+        });
+        let (tx, rx) = unbounded();
+        let settled_board = Arc::clone(&self.settled);
+        let pool = self.pool.clone();
+        let handle = std::thread::spawn(move || {
+            replica_main(
+                &mut node,
+                endpoint,
+                &rx,
+                &settled_board,
+                flush_every,
+                pool.as_deref(),
+                obs.as_ref(),
+            )
+        });
+        Seat { ctrl: tx, handle: Some(handle), last_result: None }
     }
 
     /// The client → representative mapping in use.
@@ -622,7 +539,7 @@ impl Cluster {
     pub fn respawn<N, E>(
         &mut self,
         i: usize,
-        mut node: N,
+        node: N,
         endpoint: E,
         flush_every: Duration,
     ) -> Result<(), ClusterError>
@@ -633,29 +550,7 @@ impl Cluster {
         if self.seats[i].handle.is_some() {
             return Err(ClusterError::ReplicaRunning(i));
         }
-        let mut endpoint = endpoint;
-        // Re-wire the restarted incarnation into the same registry its
-        // predecessor recorded into.
-        let obs = self.registry.as_ref().map(|reg| {
-            endpoint.attach_registry(reg);
-            node.attach_registry(reg);
-            DriverObs::for_replica(reg, node.id(), &self.layout)
-        });
-        let (tx, rx) = unbounded();
-        let settled_board = Arc::clone(&self.settled);
-        let pool = self.pool.clone();
-        let handle = std::thread::spawn(move || {
-            replica_main(
-                &mut node,
-                endpoint,
-                &rx,
-                &settled_board,
-                flush_every,
-                pool.as_deref(),
-                obs.as_ref(),
-            )
-        });
-        self.seats[i] = Seat { ctrl: tx, handle: Some(handle), last_result: None };
+        self.seats[i] = self.spawn_seat(node, endpoint, flush_every);
         Ok(())
     }
 
@@ -685,14 +580,9 @@ impl Cluster {
     /// settlements land — wake-up is immediate, not quantized by a poll
     /// interval.
     pub fn wait_settled(&self, count: usize, timeout: Duration) -> Vec<Payment> {
-        let deadline = Instant::now() + timeout;
-        let mut logs = self.settled.logs.lock();
-        while !logs.iter().all(|l| l.len() >= count) {
-            // Spurious wakeups and partial progress re-check the predicate.
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else { break };
-            let _ = self.settled.progress.wait_for(&mut logs, remaining);
-        }
-        logs[0].clone()
+        let all: Vec<usize> = (0..self.seats.len()).collect();
+        self.wait_settled_among(&all, count, timeout);
+        self.settled_at(0)
     }
 
     /// Settled payments as observed by replica `i` so far.
@@ -733,6 +623,7 @@ impl Cluster {
             let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
                 return false;
             };
+            // Spurious wakeups and partial progress re-check the predicate.
             let _ = self.settled.progress.wait_for(&mut logs, remaining);
         }
     }
@@ -1020,526 +911,12 @@ fn dispatch<M: Wire, E: Endpoint>(
     }
 }
 
-pub(crate) fn single_layout(n: usize) -> Result<ShardLayout, ClusterError> {
-    if n < 4 {
-        return Err(ClusterError::TooSmall { n });
-    }
-    Ok(ShardLayout::single(n)?)
-}
-
-/// A running threaded Astro I cluster (Bracha BRB, MAC-authenticated
-/// links).
-pub struct AstroOneCluster {
-    pub(crate) inner: Cluster,
-    /// Restart metadata: key material, listen addresses, and (for durable
-    /// clusters) the storage root. `None` for in-process clusters, whose
-    /// endpoints cannot be re-established.
-    pub(crate) meta: Option<durable::RestartMeta<Astro1Config>>,
-}
-
-impl AstroOneCluster {
-    /// Starts `n` replica threads over in-process channels.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `n < 4`.
-    pub fn start(n: usize, cfg: Astro1Config, flush_every: Duration) -> Result<Self, ClusterError> {
-        Self::start_with(InProcTransport::new(n), n, cfg, flush_every)
-    }
-
-    /// Starts `n` replica threads over loopback TCP with HMAC-authenticated
-    /// sessions, key material drawn from [`demo_keychains`].
-    ///
-    /// **Demo/test only.** See [`demo_keychains`] for why this must never
-    /// carry real funds. A real deployment distributes key pairs in
-    /// advance (§III) and calls
-    /// [`start_tcp_with_keychains`](Self::start_tcp_with_keychains).
-    ///
-    /// # Errors
-    ///
-    /// Fails if `n < 4` or the TCP mesh cannot be established.
-    pub fn start_tcp(
-        n: usize,
-        cfg: Astro1Config,
-        flush_every: Duration,
-    ) -> Result<Self, ClusterError> {
-        Self::start_tcp_with_keychains(demo_keychains(n), cfg, flush_every)
-    }
-
-    /// Starts one replica thread per keychain over loopback TCP with
-    /// HMAC-authenticated sessions, using caller-provided key material
-    /// (pre-distributed key pairs, §III).
-    ///
-    /// TCP clusters retain their key material and listen addresses, so a
-    /// killed replica can be brought back with
-    /// [`restart_replica`](Self::restart_replica) — without durable
-    /// storage it returns empty and recovers the *entire* ledger from its
-    /// peers through the catch-up state transfer.
-    ///
-    /// # Errors
-    ///
-    /// Fails if fewer than 4 keychains are given or the TCP mesh cannot be
-    /// established.
-    pub fn start_tcp_with_keychains(
-        keychains: Vec<Keychain>,
-        cfg: Astro1Config,
-        flush_every: Duration,
-    ) -> Result<Self, ClusterError> {
-        Self::start_tcp_with_keychains_observed(keychains, cfg, flush_every, None)
-    }
-
-    /// [`start_tcp`](Self::start_tcp) with a metric [`Registry`]
-    /// attached: the transport, each replica's protocol layer, and the
-    /// driver record into it, and payment lifecycles are traced
-    /// end-to-end. Key material from [`demo_keychains`] — demo/test only.
-    ///
-    /// # Errors
-    ///
-    /// As [`start_tcp`](Self::start_tcp).
-    pub fn start_tcp_observed(
-        n: usize,
-        cfg: Astro1Config,
-        flush_every: Duration,
-        registry: Arc<Registry>,
-    ) -> Result<Self, ClusterError> {
-        Self::start_tcp_with_keychains_observed(demo_keychains(n), cfg, flush_every, Some(registry))
-    }
-
-    /// [`start_tcp_with_keychains`](Self::start_tcp_with_keychains) with
-    /// an optional metric [`Registry`]; see
-    /// [`start_tcp_observed`](Self::start_tcp_observed).
-    ///
-    /// # Errors
-    ///
-    /// As [`start_tcp_with_keychains`](Self::start_tcp_with_keychains).
-    pub fn start_tcp_with_keychains_observed(
-        keychains: Vec<Keychain>,
-        cfg: Astro1Config,
-        flush_every: Duration,
-        registry: Option<Arc<Registry>>,
-    ) -> Result<Self, ClusterError> {
-        let n = keychains.len();
-        if n < 4 {
-            return Err(ClusterError::TooSmall { n });
-        }
-        let layout = single_layout(n)?;
-        let endpoints = TcpTransport::loopback(keychains.clone())?.into_endpoints();
-        let addrs = endpoints.iter().map(astro_net::TcpEndpoint::listen_addr).collect();
-        let nodes: Vec<AstroOneReplica> = (0..n)
-            .map(|i| AstroOneReplica::new(ReplicaId(i as u32), layout.clone(), cfg.clone()))
-            .collect();
-        Ok(AstroOneCluster {
-            inner: Cluster::start_endpoints_observed(
-                nodes,
-                endpoints,
-                layout,
-                flush_every,
-                None,
-                registry,
-            )?,
-            meta: Some(durable::RestartMeta {
-                keychains,
-                signing: Vec::new(),
-                addrs,
-                cfg,
-                flush_every,
-                storage: None,
-            }),
-        })
-    }
-
-    /// Starts `n` replica threads over an arbitrary transport.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `n < 4` or the transport's endpoint count is not `n`.
-    pub fn start_with<T: Transport>(
-        transport: T,
-        n: usize,
-        cfg: Astro1Config,
-        flush_every: Duration,
-    ) -> Result<Self, ClusterError> {
-        let layout = single_layout(n)?;
-        let nodes: Vec<AstroOneReplica> = (0..n)
-            .map(|i| AstroOneReplica::new(ReplicaId(i as u32), layout.clone(), cfg.clone()))
-            .collect();
-        Ok(AstroOneCluster {
-            inner: Cluster::start(nodes, transport, layout, flush_every)?,
-            meta: None,
-        })
-    }
-
-    /// The client → representative mapping in use.
-    pub fn layout(&self) -> &ShardLayout {
-        self.inner.layout()
-    }
-
-    /// The metric registry, if the cluster runs observed.
-    pub fn registry(&self) -> Option<&Arc<Registry>> {
-        self.inner.registry()
-    }
-
-    /// Starts the live scrape endpoint; see [`Cluster::serve_metrics`].
-    ///
-    /// # Errors
-    ///
-    /// Fails if the cluster runs unobserved or the bind fails.
-    pub fn serve_metrics(&self, addr: &str) -> Result<ServeHandle, ClusterError> {
-        self.inner.serve_metrics(addr)
-    }
-
-    /// Spawns the gray-failure health tick; see
-    /// [`Cluster::spawn_health_monitor`].
-    ///
-    /// # Errors
-    ///
-    /// Fails if the cluster runs unobserved.
-    pub fn spawn_health_monitor(
-        &self,
-        cfg: HealthConfig,
-        interval: Duration,
-    ) -> Result<HealthMonitor, ClusterError> {
-        self.inner.spawn_health_monitor(cfg, interval)
-    }
-
-    /// Submits a payment to the spender's representative.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the cluster is shutting down.
-    pub fn submit(&self, payment: Payment) -> Result<(), ClusterError> {
-        self.inner.submit(payment)
-    }
-
-    /// Blocks until every replica has settled at least `count` payments or
-    /// the timeout elapses; returns replica 0's settled log.
-    pub fn wait_settled(&self, count: usize, timeout: Duration) -> Vec<Payment> {
-        self.inner.wait_settled(count, timeout)
-    }
-
-    /// Settled payments as observed by replica `i` so far.
-    pub fn settled_at(&self, i: usize) -> Vec<Payment> {
-        self.inner.settled_at(i)
-    }
-
-    /// Waits until each listed replica has settled at least `count`
-    /// payments; see [`Cluster::wait_settled_among`].
-    pub fn wait_settled_among(&self, replicas: &[usize], count: usize, timeout: Duration) -> bool {
-        self.inner.wait_settled_among(replicas, count, timeout)
-    }
-
-    /// Reads `client`'s `(ledger, available)` balances at replica `i`;
-    /// see [`Cluster::probe_balance`].
-    ///
-    /// # Errors
-    ///
-    /// Fails if the replica is down or the cluster is shutting down.
-    pub fn probe_balance(
-        &self,
-        i: usize,
-        client: ClientId,
-    ) -> Result<(Amount, Amount), ClusterError> {
-        self.inner.probe_balance(i, client)
-    }
-
-    /// Stops all replicas and returns each replica's final balance map and
-    /// total settled count.
-    pub fn shutdown(self) -> Vec<(HashMap<ClientId, Amount>, usize)> {
-        self.inner.shutdown()
-    }
-}
-
-/// A running threaded Astro II cluster (signature-based BRB with CREDIT
-/// certificates) under real Schnorr signatures.
-pub struct AstroTwoCluster {
-    pub(crate) inner: Cluster,
-    /// Restart metadata; see [`AstroOneCluster`]. For Astro II it also
-    /// carries the protocol signing keychains, so a restarted replica
-    /// signs under the same identity.
-    pub(crate) meta: Option<durable::RestartMeta<Astro2Config>>,
-}
-
-impl AstroTwoCluster {
-    /// Starts `n` replica threads over in-process channels.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `n < 4`.
-    pub fn start(n: usize, cfg: Astro2Config, flush_every: Duration) -> Result<Self, ClusterError> {
-        Self::start_with(InProcTransport::new(n), n, cfg, flush_every)
-    }
-
-    /// Starts `n` replica threads over loopback TCP with HMAC-authenticated
-    /// sessions.
-    ///
-    /// **Demo/test only.** The transport keychains come from
-    /// [`demo_keychains`] — fixed, public seed; see there for the caveats.
-    /// Deployments should use
-    /// [`start_tcp_with_keychains`](Self::start_tcp_with_keychains).
-    ///
-    /// # Errors
-    ///
-    /// Fails if `n < 4` or the TCP mesh cannot be established.
-    pub fn start_tcp(
-        n: usize,
-        cfg: Astro2Config,
-        flush_every: Duration,
-    ) -> Result<Self, ClusterError> {
-        Self::start_tcp_with_keychains(demo_keychains(n), cfg, flush_every)
-    }
-
-    /// Starts one replica thread per keychain over loopback TCP with
-    /// HMAC-authenticated sessions, using caller-provided transport key
-    /// material (pre-distributed key pairs, §III). Protocol signing keys
-    /// derive from the fixed runtime seed, as in [`Self::start_with`].
-    ///
-    /// TCP clusters retain their key material and listen addresses, so a
-    /// killed replica can be brought back with
-    /// [`restart_replica`](Self::restart_replica) — without durable
-    /// storage it returns empty and recovers the ledger from its peers
-    /// through the catch-up state transfer.
-    ///
-    /// # Errors
-    ///
-    /// Fails if fewer than 4 keychains are given or the TCP mesh cannot be
-    /// established.
-    pub fn start_tcp_with_keychains(
-        keychains: Vec<Keychain>,
-        cfg: Astro2Config,
-        flush_every: Duration,
-    ) -> Result<Self, ClusterError> {
-        Self::start_tcp_with_keychains_observed(keychains, cfg, flush_every, None)
-    }
-
-    /// [`start_tcp`](Self::start_tcp) with a metric [`Registry`]
-    /// attached: the transport, the verify pipeline, each replica's
-    /// protocol layer, and the driver record into it, and payment
-    /// lifecycles are traced end-to-end. Key material from
-    /// [`demo_keychains`] — demo/test only.
-    ///
-    /// # Errors
-    ///
-    /// As [`start_tcp`](Self::start_tcp).
-    pub fn start_tcp_observed(
-        n: usize,
-        cfg: Astro2Config,
-        flush_every: Duration,
-        registry: Arc<Registry>,
-    ) -> Result<Self, ClusterError> {
-        Self::start_tcp_with_keychains_observed(demo_keychains(n), cfg, flush_every, Some(registry))
-    }
-
-    /// [`start_tcp_with_keychains`](Self::start_tcp_with_keychains) with
-    /// an optional metric [`Registry`]; see
-    /// [`start_tcp_observed`](Self::start_tcp_observed).
-    ///
-    /// # Errors
-    ///
-    /// As [`start_tcp_with_keychains`](Self::start_tcp_with_keychains).
-    pub fn start_tcp_with_keychains_observed(
-        keychains: Vec<Keychain>,
-        cfg: Astro2Config,
-        flush_every: Duration,
-        registry: Option<Arc<Registry>>,
-    ) -> Result<Self, ClusterError> {
-        let n = keychains.len();
-        if n < 4 {
-            return Err(ClusterError::TooSmall { n });
-        }
-        let layout = single_layout(n)?;
-        let endpoints = TcpTransport::loopback(keychains.clone())?.into_endpoints();
-        let addrs = endpoints.iter().map(astro_net::TcpEndpoint::listen_addr).collect();
-        let signing = Keychain::deterministic_system(durable::ASTRO2_SIGNING_SEED, n);
-        let pool = VerifyMode::auto().build(signing[0].book().clone());
-        let nodes: Vec<AstroTwoReplica<SchnorrAuthenticator>> = signing
-            .iter()
-            .map(|kc| {
-                let auth = match &pool {
-                    Some(pool) => SchnorrAuthenticator::with_cache(kc.clone(), pool.cache()),
-                    None => SchnorrAuthenticator::new(kc.clone()),
-                };
-                AstroTwoReplica::new(auth, layout.clone(), cfg.clone())
-            })
-            .collect();
-        Ok(AstroTwoCluster {
-            inner: Cluster::start_endpoints_observed(
-                nodes,
-                endpoints,
-                layout,
-                flush_every,
-                pool,
-                registry,
-            )?,
-            meta: Some(durable::RestartMeta {
-                keychains,
-                signing,
-                addrs,
-                cfg,
-                flush_every,
-                storage: None,
-            }),
-        })
-    }
-
-    /// Starts `n` replica threads over an arbitrary transport with the
-    /// default verification pipeline ([`VerifyMode::auto`]: a worker pool
-    /// sized to the machine).
-    ///
-    /// # Errors
-    ///
-    /// Fails if `n < 4` or the transport's endpoint count is not `n`.
-    pub fn start_with<T: Transport>(
-        transport: T,
-        n: usize,
-        cfg: Astro2Config,
-        flush_every: Duration,
-    ) -> Result<Self, ClusterError> {
-        Self::start_with_verify(transport, n, cfg, flush_every, VerifyMode::auto())
-    }
-
-    /// Starts `n` replica threads over an arbitrary transport with an
-    /// explicit [`VerifyMode`]. `VerifyMode::Serial` verifies on the
-    /// replica threads (the baseline the determinism tests compare
-    /// against); `VerifyMode::Pooled` pre-verifies inbound signature
-    /// super-batches on shared worker threads so curve arithmetic
-    /// overlaps transport I/O and scales with cores.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `n < 4` or the transport's endpoint count is not `n`.
-    pub fn start_with_verify<T: Transport>(
-        transport: T,
-        n: usize,
-        cfg: Astro2Config,
-        flush_every: Duration,
-        mode: VerifyMode,
-    ) -> Result<Self, ClusterError> {
-        let layout = single_layout(n)?;
-        // The signing keys are independent of any transport session keys;
-        // deterministic for reproducibility, as everywhere in the repo.
-        let keychains = Keychain::deterministic_system(b"astro-runtime-astro2", n);
-        let pool = mode.build(keychains[0].book().clone());
-        let nodes: Vec<AstroTwoReplica<SchnorrAuthenticator>> = keychains
-            .into_iter()
-            .map(|kc| {
-                let auth = match &pool {
-                    Some(pool) => SchnorrAuthenticator::with_cache(kc, pool.cache()),
-                    None => SchnorrAuthenticator::new(kc),
-                };
-                AstroTwoReplica::new(auth, layout.clone(), cfg.clone())
-            })
-            .collect();
-        Ok(AstroTwoCluster {
-            inner: Cluster::start_endpoints_pooled(
-                nodes,
-                transport.into_endpoints(),
-                layout,
-                flush_every,
-                pool,
-            )?,
-            meta: None,
-        })
-    }
-
-    /// The client → representative mapping in use.
-    pub fn layout(&self) -> &ShardLayout {
-        self.inner.layout()
-    }
-
-    /// The metric registry, if the cluster runs observed.
-    pub fn registry(&self) -> Option<&Arc<Registry>> {
-        self.inner.registry()
-    }
-
-    /// Starts the live scrape endpoint; see [`Cluster::serve_metrics`].
-    ///
-    /// # Errors
-    ///
-    /// Fails if the cluster runs unobserved or the bind fails.
-    pub fn serve_metrics(&self, addr: &str) -> Result<ServeHandle, ClusterError> {
-        self.inner.serve_metrics(addr)
-    }
-
-    /// Spawns the gray-failure health tick; see
-    /// [`Cluster::spawn_health_monitor`].
-    ///
-    /// # Errors
-    ///
-    /// Fails if the cluster runs unobserved.
-    pub fn spawn_health_monitor(
-        &self,
-        cfg: HealthConfig,
-        interval: Duration,
-    ) -> Result<HealthMonitor, ClusterError> {
-        self.inner.spawn_health_monitor(cfg, interval)
-    }
-
-    /// Submits a payment to the spender's representative.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the cluster is shutting down.
-    pub fn submit(&self, payment: Payment) -> Result<(), ClusterError> {
-        self.inner.submit(payment)
-    }
-
-    /// Blocks until every replica has settled at least `count` payments or
-    /// the timeout elapses; returns replica 0's settled log.
-    pub fn wait_settled(&self, count: usize, timeout: Duration) -> Vec<Payment> {
-        self.inner.wait_settled(count, timeout)
-    }
-
-    /// Settled payments as observed by replica `i` so far.
-    pub fn settled_at(&self, i: usize) -> Vec<Payment> {
-        self.inner.settled_at(i)
-    }
-
-    /// Waits until each listed replica has settled at least `count`
-    /// payments; see [`Cluster::wait_settled_among`].
-    pub fn wait_settled_among(&self, replicas: &[usize], count: usize, timeout: Duration) -> bool {
-        self.inner.wait_settled_among(replicas, count, timeout)
-    }
-
-    /// Reads `client`'s `(ledger, available)` balances at replica `i`;
-    /// `available` includes the certified-but-unspent credits this
-    /// representative holds for the client. See
-    /// [`Cluster::probe_balance`].
-    ///
-    /// # Errors
-    ///
-    /// Fails if the replica is down or the cluster is shutting down.
-    pub fn probe_balance(
-        &self,
-        i: usize,
-        client: ClientId,
-    ) -> Result<(Amount, Amount), ClusterError> {
-        self.inner.probe_balance(i, client)
-    }
-
-    /// The mesh's TCP listen addresses, indexed by replica id. `None` for
-    /// in-process clusters. With the matching keychain this lets a test
-    /// wire an out-of-process — e.g. deliberately Byzantine — peer into a
-    /// killed replica's seat.
-    pub fn listen_addrs(&self) -> Option<Vec<std::net::SocketAddr>> {
-        self.meta.as_ref().map(|m| m.addrs.clone())
-    }
-
-    /// The protocol signing keychains the replicas run under (index =
-    /// replica id). `None` for in-process clusters.
-    pub fn signing_keychains(&self) -> Option<Vec<Keychain>> {
-        self.meta.as_ref().map(|m| m.signing.clone())
-    }
-
-    /// Stops all replicas and returns each replica's final balance map and
-    /// total settled count.
-    pub fn shutdown(self) -> Vec<(HashMap<ClientId, Amount>, usize)> {
-        self.inner.shutdown()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use astro_core::astro1::{Astro1Config, AstroOneReplica};
+    use astro_core::astro2::Astro2Config;
+    use astro_types::Keychain;
 
     fn cfg() -> Astro1Config {
         Astro1Config { batch_size: 8, initial_balance: Amount(1_000) }
@@ -1548,20 +925,22 @@ mod tests {
     #[test]
     fn start_rejects_too_small_clusters() {
         for n in 0..4 {
-            match AstroOneCluster::start(n, cfg(), Duration::from_millis(1)) {
+            match AstroOneCluster::builder(n, cfg(), Duration::from_millis(1)).start() {
                 Err(ClusterError::TooSmall { n: got }) => assert_eq!(got, n),
                 other => panic!("expected TooSmall for n={n}, got {:?}", other.is_ok()),
             }
         }
         assert!(matches!(
-            AstroTwoCluster::start(3, Astro2Config::default(), Duration::from_millis(1)),
+            AstroTwoCluster::builder(3, Astro2Config::default(), Duration::from_millis(1))
+                .signing(Keychain::deterministic_system(b"runtime-test-signing", 3))
+                .start(),
             Err(ClusterError::TooSmall { n: 3 })
         ));
     }
 
     #[test]
     fn threaded_cluster_settles_payments() {
-        let cluster = AstroOneCluster::start(4, cfg(), Duration::from_millis(1)).unwrap();
+        let cluster = AstroOneCluster::builder(4, cfg(), Duration::from_millis(1)).start().unwrap();
         for seq in 0..20u64 {
             cluster.submit(Payment::new(1u64, seq, 2u64, 10u64)).unwrap();
         }
@@ -1577,7 +956,8 @@ mod tests {
 
     #[test]
     fn concurrent_clients_converge() {
-        let cluster = Arc::new(AstroOneCluster::start(4, cfg(), Duration::from_millis(1)).unwrap());
+        let cluster =
+            Arc::new(AstroOneCluster::builder(4, cfg(), Duration::from_millis(1)).start().unwrap());
         // Two client threads submitting interleaved payment streams.
         let c1 = {
             let cluster = Arc::clone(&cluster);
@@ -1604,7 +984,7 @@ mod tests {
 
     #[test]
     fn all_replicas_observe_identical_settlement_order_per_client() {
-        let cluster = AstroOneCluster::start(4, cfg(), Duration::from_millis(1)).unwrap();
+        let cluster = AstroOneCluster::builder(4, cfg(), Duration::from_millis(1)).start().unwrap();
         for seq in 0..30u64 {
             cluster.submit(Payment::new(7u64, seq, 8u64, 1u64)).unwrap();
         }
@@ -1678,7 +1058,7 @@ mod tests {
         // Direct intra-shard credits so final ledger balances mirror the
         // settled payments (certificate mode defers beneficiary credits
         // until the beneficiary spends).
-        let cluster = AstroTwoCluster::start(
+        let cluster = AstroTwoCluster::builder(
             4,
             Astro2Config {
                 batch_size: 4,
@@ -1688,6 +1068,8 @@ mod tests {
             },
             Duration::from_millis(1),
         )
+        .signing(Keychain::deterministic_system(b"runtime-test-signing", 4))
+        .start()
         .unwrap();
         for seq in 0..10u64 {
             cluster.submit(Payment::new(1u64, seq, 2u64, 5u64)).unwrap();

@@ -52,6 +52,9 @@ pub use cpumodel::CpuModel;
 pub use harness::{run, run_observed, run_with_system, Fault, SimConfig, SimReport};
 pub use metrics::{LatencyStats, ThroughputTimeline};
 pub use netmodel::{NetParams, Network, Region};
-pub use systems::{Astro1System, Astro2System, ChaosReport, ConfirmRule, PbftSystem, SimSystem};
+pub use systems::{
+    Astro1System, Astro2System, AstroSystem, ChaosReport, ConfirmRule, PbftSystem, SimProtocol,
+    SimSystem,
+};
 pub use telemetry::SimTelemetry;
 pub use workload::{SmallbankWorkload, UniformWorkload, Workload};

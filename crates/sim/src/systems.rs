@@ -13,12 +13,11 @@ use astro_brb::bracha::BrachaMsg;
 use astro_brb::signed::SignedMsg;
 use astro_brb::{Envelope, InstanceId};
 use astro_consensus::pbft::{PbftConfig, PbftMsg, PbftReplica};
-use astro_core::astro1::{Astro1Config, Astro1Msg, AstroOneReplica};
-use astro_core::astro2::{Astro2Config, Astro2Msg, AstroTwoReplica};
-use astro_core::journal::{merge_history_blocks, SyncHead};
+use astro_core::astro1::{Astro1Config, Astro1Msg, AstroOne, AstroOneReplica};
+use astro_core::astro2::{Astro2Config, Astro2Msg, AstroTwo, AstroTwoReplica};
 use astro_core::reconfig::{BlockVotes, CatchUp};
-use astro_core::ReplicaStep;
-use astro_types::wire::{decode_exact, Wire};
+use astro_core::{Protocol, Replica, ReplicaStep};
+use astro_types::wire::Wire;
 use astro_types::{ClientId, Group, MacAuthenticator, Payment, PaymentId, ReplicaId, ShardLayout};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -183,7 +182,7 @@ impl ChaosAudit {
 }
 
 /// The audit counters of a chaos run; see
-/// [`Astro1System::enable_chaos_audit`].
+/// [`AstroSystem::enable_chaos_audit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChaosReport {
     /// Own-stream instance ids broadcast more than once.
@@ -196,91 +195,6 @@ pub struct ChaosReport {
     pub equivocation_settles: usize,
 }
 
-/// What the shared catch-up loop needs from a payment replica — the
-/// chunked serve/install surface both Astro protocols expose.
-trait SyncableReplica {
-    type Msg;
-
-    /// Settled-payment count (the certification floor).
-    fn settled(&self) -> u64;
-
-    /// The chunked sync payload served to `requester`: wire-encoded head
-    /// plus the sealed history blocks it references. `None` when the
-    /// donor refuses to serve (oversized volatile head).
-    fn serve_chunks(&self, requester: ReplicaId) -> Option<(Vec<u8>, SyncBlockSet)>;
-
-    /// Reassembles a certified head and its certified blocks into a full
-    /// state and installs it; `None` on any rejection.
-    fn install_chunked(
-        &mut self,
-        head: &[u8],
-        blocks: &BlockVotes,
-    ) -> Option<ReplicaStep<Self::Msg>>;
-}
-
-/// Sealed history blocks served alongside a sync head.
-type SyncBlockSet = Vec<(ClientId, u64, Vec<u8>)>;
-
-impl SyncableReplica for AstroOneReplica {
-    type Msg = Astro1Msg;
-
-    fn settled(&self) -> u64 {
-        self.ledger().total_settled() as u64
-    }
-
-    fn serve_chunks(&self, requester: ReplicaId) -> Option<(Vec<u8>, SyncBlockSet)> {
-        let (head, blocks) = self.sync_chunks(requester).ok()?;
-        Some((head.to_wire_bytes(), blocks))
-    }
-
-    fn install_chunked(
-        &mut self,
-        head: &[u8],
-        blocks: &BlockVotes,
-    ) -> Option<ReplicaStep<Self::Msg>> {
-        let head: SyncHead = decode_exact(head).ok()?;
-        if !blocks.has_all(&head.blocks) {
-            return None;
-        }
-        let mut state: astro_core::journal::Astro1State = decode_exact(&head.state_tail).ok()?;
-        merge_history_blocks(&mut state.ledger, &head.blocks, |client, block| {
-            blocks.certified(client, block).cloned()
-        })
-        .ok()?;
-        self.install_sync(&state).ok()
-    }
-}
-
-impl SyncableReplica for AstroTwoReplica<MacAuthenticator> {
-    type Msg = Astro2Msg<astro_types::auth::SimSig>;
-
-    fn settled(&self) -> u64 {
-        self.ledger().total_settled() as u64
-    }
-
-    fn serve_chunks(&self, requester: ReplicaId) -> Option<(Vec<u8>, SyncBlockSet)> {
-        let (head, blocks) = self.sync_chunks(requester).ok()?;
-        Some((head.to_wire_bytes(), blocks))
-    }
-
-    fn install_chunked(
-        &mut self,
-        head: &[u8],
-        blocks: &BlockVotes,
-    ) -> Option<ReplicaStep<Self::Msg>> {
-        let head: SyncHead = decode_exact(head).ok()?;
-        if !blocks.has_all(&head.blocks) {
-            return None;
-        }
-        let mut state: astro_core::journal::Astro2State = decode_exact(&head.state_tail).ok()?;
-        merge_history_blocks(&mut state.ledger, &head.blocks, |client, block| {
-            blocks.certified(client, block).cloned()
-        })
-        .ok()?;
-        self.install_sync(&state).ok()
-    }
-}
-
 /// The catch-up handshake in simulated form, shared by both Astro
 /// adapters: `donors` serve a sync head plus sealed history blocks,
 /// the head certifies at `f+1` byte-identical copies, each block
@@ -288,23 +202,25 @@ impl SyncableReplica for AstroTwoReplica<MacAuthenticator> {
 /// reassembles and installs once every referenced block is certified.
 /// Returns the bytes transferred and the install step, or `None` when
 /// nothing certified or the install was rejected (the harness retries).
-fn run_catch_up<R: SyncableReplica>(
-    replicas: &mut [R],
-    group: &Group,
+fn run_catch_up<P: Protocol>(
+    replicas: &mut [Replica<P>],
     replica: ReplicaId,
     donors: &[ReplicaId],
-) -> Option<(usize, ReplicaStep<R::Msg>)> {
-    let mut votes = CatchUp::new(group, replica, replicas[replica.0 as usize].settled());
+) -> Option<(usize, ReplicaStep<P::Msg>)> {
+    let settled = |r: &Replica<P>| r.ledger().total_settled() as u64;
+    let group = replicas[replica.0 as usize].group();
+    let mut votes = CatchUp::new(group, replica, settled(&replicas[replica.0 as usize]));
     let mut blocks = BlockVotes::new(group, replica);
     let mut certified_head: Option<Vec<u8>> = None;
     let mut bytes = 0usize;
     for &donor in donors {
-        let Some((head, served_blocks)) = replicas[donor.0 as usize].serve_chunks(replica) else {
+        // A donor whose volatile head is oversized refuses to serve.
+        let Ok((head, served_blocks)) = replicas[donor.0 as usize].sync_chunks(replica) else {
             continue;
         };
-        let settled = replicas[donor.0 as usize].settled();
+        let head = head.to_wire_bytes();
         bytes += head.len();
-        if let Some(certified) = votes.offer(donor, settled, head) {
+        if let Some(certified) = votes.offer(donor, settled(&replicas[donor.0 as usize]), head) {
             certified_head = Some(certified);
         }
         for (client, block, data) in served_blocks {
@@ -312,7 +228,7 @@ fn run_catch_up<R: SyncableReplica>(
             blocks.offer(donor, client, block, data);
         }
         if let Some(head) = &certified_head {
-            if let Some(step) = replicas[replica.0 as usize].install_chunked(head, &blocks) {
+            if let Some(step) = replicas[replica.0 as usize].install_chunks(head, &blocks) {
                 return Some((bytes, step));
             }
         }
@@ -361,138 +277,47 @@ impl FlushTimers {
 }
 
 // ---------------------------------------------------------------------------
-// Astro I
+// Astro I and Astro II
 // ---------------------------------------------------------------------------
 
-/// Astro I under simulation: echo-based broadcast, MAC links.
-#[derive(Debug)]
-pub struct Astro1System {
-    replicas: Vec<AstroOneReplica>,
-    layout: ShardLayout,
-    group: Group,
-    flush: FlushTimers,
-    audit: Option<ChaosAudit>,
+/// A payment protocol the simulator runs: the core [`Protocol`] plus its
+/// timers and message-cost model.
+pub trait SimProtocol: Protocol<Msg: Wire, Brb: core::fmt::Debug> + core::fmt::Debug {
+    /// True when the protocol keeps a CREDIT retry outbox (Astro II),
+    /// which then runs on a pacer of its own.
+    const PACED: bool = false;
+
+    /// Unacked outbox entries plus owed acks: the pacer stays armed while
+    /// this is nonzero. Default: none.
+    fn backlog(replica: &Replica<Self>) -> usize {
+        let _ = replica;
+        0
+    }
+
+    /// One tick of the outbox pacer. Default: nothing.
+    fn pace(replica: &mut Replica<Self>) -> ReplicaStep<Self::Msg> {
+        let _ = replica;
+        ReplicaStep::empty()
+    }
+
+    /// The instance id of a PREPARE carried by `msg` (the chaos audit's
+    /// stream-tag reuse check).
+    fn prepare_id(msg: &Self::Msg) -> Option<InstanceId>;
+
+    /// CPU cost of processing `msg` at a receiving replica; see
+    /// [`SimSystem::deliver_cost`].
+    fn deliver_cost(msg: &Self::Msg, cpu: &CpuModel) -> DeliverCost;
 }
 
-impl Astro1System {
-    /// Builds an `n`-replica single-shard Astro I deployment.
-    pub fn new(n: usize, cfg: Astro1Config, batch_delay: Nanos) -> Self {
-        let layout = ShardLayout::single(n).expect("n >= 4");
-        Astro1System {
-            replicas: (0..n as u32)
-                .map(|i| AstroOneReplica::new(ReplicaId(i), layout.clone(), cfg.clone()))
-                .collect(),
-            layout,
-            group: Group::of_size(n).expect("n >= 4"),
-            flush: FlushTimers::new(n, batch_delay),
-            audit: None,
+impl SimProtocol for AstroOne {
+    fn prepare_id(msg: &Astro1Msg) -> Option<InstanceId> {
+        match msg {
+            Astro1Msg::Brb(BrachaMsg::Prepare { id, .. }) => Some(*id),
+            _ => None,
         }
     }
 
-    /// Access to a replica (assertions in tests).
-    pub fn replica(&self, i: usize) -> &AstroOneReplica {
-        &self.replicas[i]
-    }
-
-    /// Attaches every replica's [`astro_core::CoreObs`] instrumentation
-    /// to `registry` — the same wiring the threaded runtime's observed
-    /// constructors do, so a simulated run exports the same `core.*`
-    /// counters (used by [`crate::telemetry::SimTelemetry`]).
-    pub fn attach_registry(&mut self, registry: &astro_obs::Registry) {
-        for (i, r) in self.replicas.iter_mut().enumerate() {
-            r.set_obs(astro_core::CoreObs::for_replica(registry, i as u32));
-        }
-    }
-
-    /// Turns on the chaos-schedule invariant counters (stream-tag reuse,
-    /// double settles). Off by default — the benchmarks pay nothing.
-    pub fn enable_chaos_audit(&mut self) {
-        self.audit = Some(ChaosAudit::new(self.replicas.len()));
-    }
-
-    /// The audit counters gathered since
-    /// [`Self::enable_chaos_audit`], if enabled.
-    pub fn chaos_report(&self) -> Option<ChaosReport> {
-        self.audit.as_ref().map(|a| ChaosReport {
-            duplicate_broadcasts: a.duplicate_broadcasts,
-            double_settles: a.double_settles,
-            equivocation_settles: a.equivocation_settles,
-        })
-    }
-
-    fn observe(&mut self, replica: ReplicaId, step: &ReplicaStep<Astro1Msg>) {
-        let Some(audit) = &mut self.audit else { return };
-        audit.observe_settled(replica, &step.settled);
-        for env in &step.outbound {
-            if let Astro1Msg::Brb(BrachaMsg::Prepare { id, .. }) = &env.msg {
-                if id.source == u64::from(replica.0) {
-                    audit.observe_prepare(*id);
-                }
-            }
-        }
-    }
-}
-
-impl SimSystem for Astro1System {
-    type Msg = Astro1Msg;
-
-    fn n(&self) -> usize {
-        self.replicas.len()
-    }
-
-    fn entry_replica(&self, client: ClientId) -> ReplicaId {
-        self.layout.representative_of(client)
-    }
-
-    fn confirm_rule(&self) -> ConfirmRule {
-        ConfirmRule::AtEntryReplica
-    }
-
-    fn submit(
-        &mut self,
-        replica: ReplicaId,
-        payment: Payment,
-        now: Nanos,
-    ) -> ReplicaStep<Self::Msg> {
-        let step = self.replicas[replica.0 as usize]
-            .submit(payment)
-            .unwrap_or_else(|_| ReplicaStep::empty());
-        self.flush.note_batched(replica, self.replicas[replica.0 as usize].batched(), now);
-        self.observe(replica, &step);
-        step
-    }
-
-    fn deliver(
-        &mut self,
-        to: ReplicaId,
-        from: ReplicaId,
-        msg: Self::Msg,
-        _now: Nanos,
-    ) -> ReplicaStep<Self::Msg> {
-        let step = self.replicas[to.0 as usize].handle(from, msg);
-        self.observe(to, &step);
-        step
-    }
-
-    fn tick(&mut self, replica: ReplicaId, now: Nanos) -> ReplicaStep<Self::Msg> {
-        if self.flush.due(replica, now) {
-            let step = self.replicas[replica.0 as usize].flush();
-            self.observe(replica, &step);
-            step
-        } else {
-            ReplicaStep::empty()
-        }
-    }
-
-    fn next_deadline(&self, replica: ReplicaId) -> Option<Nanos> {
-        self.flush.next(replica)
-    }
-
-    fn broadcast_targets(&self, _sender: ReplicaId) -> Vec<ReplicaId> {
-        (0..self.replicas.len() as u32).map(ReplicaId).collect()
-    }
-
-    fn deliver_cost(&self, msg: &Self::Msg, cpu: &CpuModel) -> DeliverCost {
+    fn deliver_cost(msg: &Astro1Msg, cpu: &CpuModel) -> DeliverCost {
         // MAC-authenticated link + digest of the carried payload (the
         // protocol hashes every payload to track echoes/readies). On first
         // reception (PREPARE) every replica additionally validates the
@@ -515,42 +340,107 @@ impl SimSystem for Astro1System {
             Astro1Msg::Sync(_) => cpu.mac_ns + cpu.hash(size),
         })
     }
+}
 
-    fn catch_up(
-        &mut self,
-        replica: ReplicaId,
-        donors: &[ReplicaId],
-    ) -> Option<(usize, ReplicaStep<Self::Msg>)> {
-        let (bytes, step) = run_catch_up(&mut self.replicas, &self.group, replica, donors)?;
-        self.observe(replica, &step);
-        Some((bytes, step))
+impl SimProtocol for AstroTwo<MacAuthenticator> {
+    const PACED: bool = true;
+
+    fn backlog(replica: &Replica<Self>) -> usize {
+        replica.outbox_depth() + replica.pending_acks()
     }
 
-    fn has_catch_up(&self) -> bool {
-        true
+    fn pace(replica: &mut Replica<Self>) -> ReplicaStep<Self::Msg> {
+        replica.pace_outbox()
+    }
+
+    fn prepare_id(msg: &Self::Msg) -> Option<InstanceId> {
+        match msg {
+            Astro2Msg::Brb(SignedMsg::Prepare { id, .. }) => Some(*id),
+            _ => None,
+        }
+    }
+
+    fn deliver_cost(msg: &Self::Msg, cpu: &CpuModel) -> DeliverCost {
+        // Signature verification is the offloadable share (the runtime's
+        // verify pool pre-verifies it on worker threads); hashing,
+        // signing replies, and bookkeeping stay on the event loop.
+        let size = msg.encoded_len();
+        let dep_sigs = |payload: &astro_core::batch::DepBatch<_>| -> usize {
+            payload.entries.iter().flat_map(|e| e.deps.iter()).map(|c| c.proofs.len()).sum()
+        };
+        match msg {
+            // Receiving a PREPARE: hash the batch and sign one ACK (the
+            // paper's one-signature-per-batch amortization, §VI-A);
+            // attached dependency certificates verify off-loop.
+            Astro2Msg::Brb(SignedMsg::Prepare { payload, .. }) => DeliverCost {
+                inline: cpu.hash(size) + cpu.sign_ns,
+                verify: cpu.batch_verify(dep_sigs(payload)),
+            },
+            // Receiving an ACK: verify one signature.
+            Astro2Msg::Brb(SignedMsg::Ack { .. }) => {
+                DeliverCost { inline: 0, verify: cpu.verify_ns }
+            }
+            // Receiving a COMMIT: verify the quorum of ACK signatures and
+            // any dependency-certificate signatures — as one Schnorr batch
+            // verification (shared-doubling multi-scalar mult; see
+            // `astro_crypto::schnorr::batch_verify`).
+            Astro2Msg::Brb(SignedMsg::Commit { payload, proof, .. }) => DeliverCost {
+                inline: cpu.hash(size),
+                verify: cpu.batch_verify(proof.len() + dep_sigs(payload)),
+            },
+            // Receiving a CREDIT sub-batch: hash + one verification.
+            Astro2Msg::Credit(bundle) => DeliverCost {
+                inline: cpu.hash(size) + bundle.sig.encoded_len() as Nanos,
+                verify: cpu.verify_ns,
+            },
+            // A CREDIT ack: point-to-point and consumed only by the donor,
+            // so pairwise MAC authentication suffices — unlike CREDIT
+            // bundles, whose signatures must be transferable because they
+            // end up inside dependency certificates shown to third
+            // parties. (The simulated replicas run `MacAuthenticator`, so
+            // the ack tag really is a MAC.)
+            Astro2Msg::CreditAck { .. } => DeliverCost::inline(cpu.hash(size) + cpu.mac_ns),
+            // A replay request: bookkeeping only — the cost lands on the
+            // retransmitted CREDITs it triggers.
+            Astro2Msg::CreditRequest { .. } => DeliverCost::inline(cpu.mac_ns),
+            // Catch-up traffic: hashing the served state, no signatures.
+            Astro2Msg::Sync(_) => DeliverCost::inline(cpu.hash(size)),
+        }
     }
 }
 
-// ---------------------------------------------------------------------------
-// Astro II
-// ---------------------------------------------------------------------------
+/// Astro I under simulation: echo-based broadcast, MAC links.
+pub type Astro1System = AstroSystem<AstroOne>;
 
 /// Astro II under simulation: signed broadcast, CREDIT certificates,
 /// optional sharding. Uses [`MacAuthenticator`] internally; the cost model
 /// charges real signature prices.
+pub type Astro2System = AstroSystem<AstroTwo<MacAuthenticator>>;
+
+/// An Astro deployment under simulation.
 #[derive(Debug)]
-pub struct Astro2System {
-    replicas: Vec<AstroTwoReplica<MacAuthenticator>>,
+pub struct AstroSystem<P: SimProtocol> {
+    replicas: Vec<Replica<P>>,
     layout: ShardLayout,
-    groups: Vec<Group>,
     flush: FlushTimers,
     /// Independent pacer for the CREDIT retry outbox: it must keep
     /// running while unacked bundles remain (retransmission has no other
     /// clock), but it must not share the batch timer — firing `flush`
     /// early just to age the outbox cuts batches short and inflates the
-    /// per-batch broadcast overhead.
+    /// per-batch broadcast overhead. Never armed without an outbox.
     outbox: FlushTimers,
     audit: Option<ChaosAudit>,
+}
+
+impl Astro1System {
+    /// Builds an `n`-replica single-shard Astro I deployment.
+    pub fn new(n: usize, cfg: Astro1Config, batch_delay: Nanos) -> Self {
+        let layout = ShardLayout::single(n).expect("n >= 4");
+        let replicas = (0..n as u32)
+            .map(|i| AstroOneReplica::new(ReplicaId(i), layout.clone(), cfg.clone()))
+            .collect();
+        AstroSystem::with_replicas(replicas, layout, batch_delay, batch_delay)
+    }
 }
 
 impl Astro2System {
@@ -558,44 +448,45 @@ impl Astro2System {
     /// replicas). Use `shards = 1` for the unsharded microbenchmarks.
     pub fn new(shards: usize, per_shard: usize, cfg: Astro2Config, batch_delay: Nanos) -> Self {
         let layout = ShardLayout::uniform(shards, per_shard).expect("valid layout");
-        let total = shards * per_shard;
-        let groups =
-            layout.shards().iter().map(|s| Group::from_spec(s).expect("shard size")).collect();
-        Astro2System {
-            replicas: (0..total as u32)
-                .map(|i| {
-                    AstroTwoReplica::new(
-                        MacAuthenticator::new(ReplicaId(i), b"sim-astro2".to_vec()),
-                        layout.clone(),
-                        cfg.clone(),
-                    )
-                })
-                .collect(),
+        let replicas = (0..(shards * per_shard) as u32)
+            .map(|i| {
+                AstroTwoReplica::new(
+                    MacAuthenticator::new(ReplicaId(i), b"sim-astro2".to_vec()),
+                    layout.clone(),
+                    cfg.clone(),
+                )
+            })
+            .collect();
+        // Acks and retransmission pace at a coarser interval than batch
+        // cutting: a wider window accumulates more digests per
+        // destination into each signed CreditAck (fewer point-to-point
+        // messages) at the cost of at most one extra window of ack
+        // latency. Recovery after a restart is CreditRequest-replay
+        // driven, so the coarser retransmit clock is safe.
+        AstroSystem::with_replicas(replicas, layout, batch_delay, batch_delay.saturating_mul(4))
+    }
+}
+
+impl<P: SimProtocol> AstroSystem<P> {
+    fn with_replicas(
+        replicas: Vec<Replica<P>>,
+        layout: ShardLayout,
+        batch_delay: Nanos,
+        pace_delay: Nanos,
+    ) -> Self {
+        let n = replicas.len();
+        AstroSystem {
+            replicas,
             layout,
-            groups,
-            flush: FlushTimers::new(total, batch_delay),
-            // Acks and retransmission pace at a coarser interval than
-            // batch cutting: a wider window accumulates more digests per
-            // destination into each signed CreditAck (fewer point-to-point
-            // messages) at the cost of at most one extra window of ack
-            // latency. Recovery after a restart is CreditRequest-replay
-            // driven, so the coarser retransmit clock is safe.
-            outbox: FlushTimers::new(total, batch_delay.saturating_mul(4)),
+            flush: FlushTimers::new(n, batch_delay),
+            outbox: FlushTimers::new(n, pace_delay),
             audit: None,
         }
     }
 
     /// Access to a replica (assertions in tests).
-    pub fn replica(&self, i: usize) -> &AstroTwoReplica<MacAuthenticator> {
+    pub fn replica(&self, i: usize) -> &Replica<P> {
         &self.replicas[i]
-    }
-
-    /// Attaches every replica's [`astro_core::CoreObs`] instrumentation
-    /// to `registry`; see [`Astro1System::attach_registry`].
-    pub fn attach_registry(&mut self, registry: &astro_obs::Registry) {
-        for (i, r) in self.replicas.iter_mut().enumerate() {
-            r.set_obs(astro_core::CoreObs::for_replica(registry, i as u32));
-        }
     }
 
     /// The shard layout.
@@ -603,13 +494,24 @@ impl Astro2System {
         &self.layout
     }
 
-    /// Turns on the chaos-schedule invariant counters; see
-    /// [`Astro1System::enable_chaos_audit`].
+    /// Attaches every replica's [`astro_core::CoreObs`] instrumentation
+    /// to `registry` — the same wiring the threaded runtime's observed
+    /// clusters do, so a simulated run exports the same `core.*`
+    /// counters (used by [`crate::telemetry::SimTelemetry`]).
+    pub fn attach_registry(&mut self, registry: &astro_obs::Registry) {
+        for (i, r) in self.replicas.iter_mut().enumerate() {
+            r.set_obs(astro_core::CoreObs::for_replica(registry, i as u32));
+        }
+    }
+
+    /// Turns on the chaos-schedule invariant counters (stream-tag reuse,
+    /// double settles). Off by default — the benchmarks pay nothing.
     pub fn enable_chaos_audit(&mut self) {
         self.audit = Some(ChaosAudit::new(self.replicas.len()));
     }
 
-    /// The audit counters gathered since [`Self::enable_chaos_audit`].
+    /// The audit counters gathered since [`Self::enable_chaos_audit`], if
+    /// enabled.
     pub fn chaos_report(&self) -> Option<ChaosReport> {
         self.audit.as_ref().map(|a| ChaosReport {
             duplicate_broadcasts: a.duplicate_broadcasts,
@@ -618,34 +520,32 @@ impl Astro2System {
         })
     }
 
-    /// (Re-)arms both timers: the batch flush deadline for payments
-    /// awaiting broadcast, and the separate outbox pacer for unacked
-    /// CREDIT bundles awaiting retransmission.
+    /// (Re-)arms the batch flush deadline for payments awaiting
+    /// broadcast and, with an outbox, the pacer for unacked CREDIT
+    /// bundles awaiting retransmission.
     fn arm_timers(&mut self, replica: ReplicaId, now: Nanos) {
         let r = &self.replicas[replica.0 as usize];
         self.flush.note_batched(replica, r.batched(), now);
-        self.outbox.note_batched(replica, r.outbox_depth() + r.pending_acks(), now);
+        if P::PACED {
+            self.outbox.note_batched(replica, P::backlog(r), now);
+        }
     }
 
-    fn observe(
-        &mut self,
-        replica: ReplicaId,
-        step: &ReplicaStep<Astro2Msg<astro_types::auth::SimSig>>,
-    ) {
+    fn observe(&mut self, replica: ReplicaId, step: &ReplicaStep<P::Msg>) {
         let Some(audit) = &mut self.audit else { return };
         audit.observe_settled(replica, &step.settled);
         for env in &step.outbound {
-            if let Astro2Msg::Brb(SignedMsg::Prepare { id, .. }) = &env.msg {
+            if let Some(id) = P::prepare_id(&env.msg) {
                 if id.source == u64::from(replica.0) {
-                    audit.observe_prepare(*id);
+                    audit.observe_prepare(id);
                 }
             }
         }
     }
 }
 
-impl SimSystem for Astro2System {
-    type Msg = Astro2Msg<astro_types::auth::SimSig>;
+impl<P: SimProtocol> SimSystem for AstroSystem<P> {
+    type Msg = P::Msg;
 
     fn n(&self) -> usize {
         self.replicas.len()
@@ -686,8 +586,10 @@ impl SimSystem for Astro2System {
         // batch timer stays anchored to submissions: payments a
         // settlement cascade re-queues ride the next submission's window
         // rather than re-anchoring (and thus shortening) it.
-        let r = &self.replicas[to.0 as usize];
-        self.outbox.note_batched(to, r.outbox_depth() + r.pending_acks(), now);
+        if P::PACED {
+            let backlog = P::backlog(&self.replicas[to.0 as usize]);
+            self.outbox.note_batched(to, backlog, now);
+        }
         self.observe(to, &step);
         step
     }
@@ -697,12 +599,14 @@ impl SimSystem for Astro2System {
         if self.flush.due(replica, now) {
             step = self.replicas[replica.0 as usize].flush();
         }
-        if self.outbox.due(replica, now) {
-            let pace = self.replicas[replica.0 as usize].pace_outbox();
-            step.outbound.extend(pace.outbound);
-            step.settled.extend(pace.settled);
+        if P::PACED {
+            if self.outbox.due(replica, now) {
+                let pace = P::pace(&mut self.replicas[replica.0 as usize]);
+                step.outbound.extend(pace.outbound);
+                step.settled.extend(pace.settled);
+            }
+            self.arm_timers(replica, now);
         }
-        self.arm_timers(replica, now);
         self.observe(replica, &step);
         step
     }
@@ -715,8 +619,11 @@ impl SimSystem for Astro2System {
     }
 
     fn broadcast_targets(&self, sender: ReplicaId) -> Vec<ReplicaId> {
-        let shard = self.layout.shard_of_replica(sender).expect("sender in layout");
-        self.groups[shard.0 as usize].members().to_vec()
+        self.replicas[sender.0 as usize].group().members().to_vec()
+    }
+
+    fn deliver_cost(&self, msg: &Self::Msg, cpu: &CpuModel) -> DeliverCost {
+        P::deliver_cost(msg, cpu)
     }
 
     fn catch_up(
@@ -724,76 +631,13 @@ impl SimSystem for Astro2System {
         replica: ReplicaId,
         donors: &[ReplicaId],
     ) -> Option<(usize, ReplicaStep<Self::Msg>)> {
-        let shard = self.layout.shard_of_replica(replica).expect("replica in layout");
-        let group = &self.groups[shard.0 as usize];
-        let (bytes, step) = run_catch_up(&mut self.replicas, group, replica, donors)?;
+        let (bytes, step) = run_catch_up(&mut self.replicas, replica, donors)?;
         self.observe(replica, &step);
         Some((bytes, step))
     }
 
     fn has_catch_up(&self) -> bool {
         true
-    }
-
-    fn deliver_cost(&self, msg: &Self::Msg, cpu: &CpuModel) -> DeliverCost {
-        // Signature verification is the offloadable share (the runtime's
-        // verify pool pre-verifies it on worker threads); hashing,
-        // signing replies, and bookkeeping stay on the event loop.
-        let size = msg.encoded_len();
-        match msg {
-            // Receiving a PREPARE: hash the batch and sign one ACK (the
-            // paper's one-signature-per-batch amortization, §VI-A);
-            // attached dependency certificates verify off-loop.
-            Astro2Msg::Brb(SignedMsg::Prepare { payload, .. }) => {
-                let dep_sigs: usize = payload
-                    .entries
-                    .iter()
-                    .flat_map(|e| e.deps.iter())
-                    .map(|cert| cert.proofs.len())
-                    .sum();
-                DeliverCost {
-                    inline: cpu.hash(size) + cpu.sign_ns,
-                    verify: cpu.batch_verify(dep_sigs),
-                }
-            }
-            // Receiving an ACK: verify one signature.
-            Astro2Msg::Brb(SignedMsg::Ack { .. }) => {
-                DeliverCost { inline: 0, verify: cpu.verify_ns }
-            }
-            // Receiving a COMMIT: verify the quorum of ACK signatures and
-            // any dependency-certificate signatures — as one Schnorr batch
-            // verification (shared-doubling multi-scalar mult; see
-            // `astro_crypto::schnorr::batch_verify`).
-            Astro2Msg::Brb(SignedMsg::Commit { payload, proof, .. }) => {
-                let dep_sigs: usize = payload
-                    .entries
-                    .iter()
-                    .flat_map(|e| e.deps.iter())
-                    .map(|cert| cert.proofs.len())
-                    .sum();
-                DeliverCost {
-                    inline: cpu.hash(size),
-                    verify: cpu.batch_verify(proof.len() + dep_sigs),
-                }
-            }
-            // Receiving a CREDIT sub-batch: hash + one verification.
-            Astro2Msg::Credit(bundle) => DeliverCost {
-                inline: cpu.hash(size) + bundle.sig.encoded_len() as Nanos,
-                verify: cpu.verify_ns,
-            },
-            // A CREDIT ack: point-to-point and consumed only by the donor,
-            // so pairwise MAC authentication suffices — unlike CREDIT
-            // bundles, whose signatures must be transferable because they
-            // end up inside dependency certificates shown to third
-            // parties. (The simulated replicas run `MacAuthenticator`, so
-            // the ack tag really is a MAC.)
-            Astro2Msg::CreditAck { .. } => DeliverCost::inline(cpu.hash(size) + cpu.mac_ns),
-            // A replay request: bookkeeping only — the cost lands on the
-            // retransmitted CREDITs it triggers.
-            Astro2Msg::CreditRequest { .. } => DeliverCost::inline(cpu.mac_ns),
-            // Catch-up traffic: hashing the served state, no signatures.
-            Astro2Msg::Sync(_) => DeliverCost::inline(cpu.hash(size)),
-        }
     }
 }
 

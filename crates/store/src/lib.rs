@@ -235,18 +235,20 @@ struct InstallDone {
 
 /// A long-lived install worker: spawning a thread per install costs
 /// ~100 µs on the settle path, so the first install spawns one worker
-/// that serves every subsequent snapshot cycle. The thread exits when
-/// the job sender drops with [`Storage`].
+/// that serves every subsequent snapshot cycle. Dropping the worker (with
+/// its [`Storage`]) closes the job channel and joins the thread, so no
+/// rename or fsync of a dropped store outlives it.
 struct InstallWorker {
     jobs: std::sync::mpsc::Sender<InstallJob>,
     results: std::sync::mpsc::Receiver<InstallDone>,
+    thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl InstallWorker {
     fn spawn() -> InstallWorker {
         let (jobs, job_rx) = std::sync::mpsc::channel::<InstallJob>();
         let (result_tx, results) = std::sync::mpsc::channel();
-        std::thread::Builder::new()
+        let thread = std::thread::Builder::new()
             .name("astro-store-install".into())
             .spawn(move || {
                 while let Ok(job) = job_rx.recv() {
@@ -274,7 +276,21 @@ impl InstallWorker {
                 }
             })
             .expect("spawn install worker");
-        InstallWorker { jobs, results }
+        InstallWorker { jobs, results, thread: Some(thread) }
+    }
+}
+
+impl Drop for InstallWorker {
+    /// Fences the worker. A killed replica's restart reopens the same
+    /// directory, and `Storage::open` merges the rotation files a still
+    /// running install renames; joining here makes the drop wait until
+    /// the queued job (if any) has finished — a finished install is a
+    /// valid crash point.
+    fn drop(&mut self) {
+        drop(std::mem::replace(&mut self.jobs, std::sync::mpsc::channel().0));
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
     }
 }
 

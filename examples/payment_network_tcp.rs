@@ -40,7 +40,7 @@ fn run(label: &str, tcp: bool) -> Vec<(HashMap<ClientId, Amount>, usize)> {
     let cluster = if tcp {
         AstroOneCluster::start_tcp(4, cfg, flush)
     } else {
-        AstroOneCluster::start(4, cfg, flush)
+        AstroOneCluster::builder(4, cfg, flush).start()
     }
     .expect("cluster starts");
     let up = start.elapsed();

@@ -13,7 +13,7 @@
 
 use astro_core::astro1::Astro1Config;
 use astro_obs::{HealthConfig, Registry};
-use astro_runtime::AstroOneCluster;
+use astro_runtime::{demo_keychains, AstroOneCluster};
 use astro_types::{Amount, Payment};
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -40,9 +40,11 @@ fn scrape(addr: SocketAddr) -> HashMap<String, f64> {
 fn main() {
     let registry = Registry::new();
     let cfg = Astro1Config { batch_size: 8, initial_balance: Amount(1_000_000) };
-    let mut cluster =
-        AstroOneCluster::start_tcp_observed(4, cfg, Duration::from_millis(1), registry.clone())
-            .expect("cluster starts");
+    let mut cluster = AstroOneCluster::builder(4, cfg, Duration::from_millis(1))
+        .tcp(demo_keychains(4))
+        .registry(registry.clone())
+        .start()
+        .expect("cluster starts");
     let monitor = cluster
         .spawn_health_monitor(HealthConfig::default(), Duration::from_millis(100))
         .expect("observed cluster");

@@ -233,13 +233,12 @@ fn tcp_byzantine_donor_cannot_forge_acks_or_corrupt_credit_replay() {
         credit_mode: CreditMode::Certificates,
         dep_policy: DepPolicy::WhenNeeded,
     };
-    let mut cluster = AstroTwoCluster::start_tcp_with_keychains_observed(
-        transport.clone(),
-        cluster_cfg,
-        Duration::from_millis(1),
-        Some(registry.clone()),
-    )
-    .unwrap();
+    let mut cluster = AstroTwoCluster::builder(4, cluster_cfg, Duration::from_millis(1))
+        .tcp(transport.clone())
+        .signing(Keychain::deterministic_system(b"byzantine-test-signing", 4))
+        .registry(registry.clone())
+        .start()
+        .unwrap();
     let addrs = cluster.listen_addrs().unwrap();
     let signing = cluster.signing_keychains().unwrap();
 

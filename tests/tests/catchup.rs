@@ -158,16 +158,15 @@ fn run_astro1(durable: bool, dir_name: &str) {
     let cfg = Astro1Config { batch_size: 4, initial_balance: Amount(1_000) };
     let flush = Duration::from_millis(1);
     let mut cluster = if durable {
-        AstroOneCluster::start_tcp_durable_with_keychains(
-            demo_keychains(4),
-            tmp_dir(dir_name),
-            cfg,
-            flush,
-            store_cfg(),
-        )
-        .expect("durable cluster starts")
+        AstroOneCluster::builder(4, cfg, flush)
+            .tcp(demo_keychains(4))
+            .durable(tmp_dir(dir_name), store_cfg())
+            .start()
+            .expect("durable cluster starts")
     } else {
-        AstroOneCluster::start_tcp_with_keychains(demo_keychains(4), cfg, flush)
+        AstroOneCluster::builder(4, cfg, flush)
+            .tcp(demo_keychains(4))
+            .start()
             .expect("cluster starts")
     };
 
@@ -246,17 +245,17 @@ fn run_astro2(durable: bool, dir_name: &str) {
     };
     let flush = Duration::from_millis(1);
     let mut cluster = if durable {
-        AstroTwoCluster::start_tcp_durable_with_keychains(
-            demo_keychains(4),
-            Keychain::deterministic_system(b"catchup-test-signing", 4),
-            tmp_dir(dir_name),
-            cfg,
-            flush,
-            store_cfg(),
-        )
-        .expect("durable cluster starts")
+        AstroTwoCluster::builder(4, cfg, flush)
+            .tcp(demo_keychains(4))
+            .signing(Keychain::deterministic_system(b"catchup-test-signing", 4))
+            .durable(tmp_dir(dir_name), store_cfg())
+            .start()
+            .expect("durable cluster starts")
     } else {
-        AstroTwoCluster::start_tcp_with_keychains(demo_keychains(4), cfg, flush)
+        AstroTwoCluster::builder(4, cfg, flush)
+            .tcp(demo_keychains(4))
+            .signing(Keychain::deterministic_system(b"catchup-test-signing", 4))
+            .start()
             .expect("cluster starts")
     };
 
@@ -373,14 +372,11 @@ fn concurrent_restarts_fall_back_to_local_state_and_stay_live() {
     // instead of pausing the cluster forever.
     let dir = tmp_dir("concurrent-restarts");
     let cfg = Astro1Config { batch_size: 4, initial_balance: Amount(1_000) };
-    let mut cluster = AstroOneCluster::start_tcp_durable_with_keychains(
-        demo_keychains(4),
-        dir,
-        cfg,
-        Duration::from_millis(1),
-        store_cfg(),
-    )
-    .unwrap();
+    let mut cluster = AstroOneCluster::builder(4, cfg, Duration::from_millis(1))
+        .tcp(demo_keychains(4))
+        .durable(dir, store_cfg())
+        .start()
+        .unwrap();
     for seq in 0..8u64 {
         cluster.submit(Payment::new(1u64, seq, 2u64, 1u64)).unwrap();
     }
@@ -422,14 +418,11 @@ fn chunked_catchup_completes_under_sustained_settlement_load() {
     // with zero client resubmissions.
     let dir = tmp_dir("sustained-load");
     let cfg = Astro1Config { batch_size: 4, initial_balance: Amount(4_000) };
-    let mut cluster = AstroOneCluster::start_tcp_durable_with_keychains(
-        demo_keychains(4),
-        dir,
-        cfg,
-        Duration::from_millis(1),
-        store_cfg(),
-    )
-    .unwrap();
+    let mut cluster = AstroOneCluster::builder(4, cfg, Duration::from_millis(1))
+        .tcp(demo_keychains(4))
+        .durable(dir, store_cfg())
+        .start()
+        .unwrap();
 
     for seq in 0..16u64 {
         cluster.submit(Payment::new(1u64, seq, 2u64, 1u64)).unwrap();

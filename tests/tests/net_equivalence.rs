@@ -6,7 +6,7 @@
 use astro_core::astro1::Astro1Config;
 use astro_core::astro2::{Astro2Config, CreditMode};
 use astro_runtime::{AstroOneCluster, AstroTwoCluster, ClusterError};
-use astro_types::{Amount, ClientId, Payment};
+use astro_types::{Amount, ClientId, Keychain, Payment};
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -32,7 +32,7 @@ fn run_astro1(tcp: bool, payments: &[Payment]) -> Finals {
     let cluster = if tcp {
         AstroOneCluster::start_tcp(4, cfg, FLUSH)
     } else {
-        AstroOneCluster::start(4, cfg, FLUSH)
+        AstroOneCluster::builder(4, cfg, FLUSH).start()
     }
     .expect("cluster starts");
     for p in payments {
@@ -79,7 +79,9 @@ fn astro2_settles_over_tcp_with_real_signatures() {
         let cluster = if tcp {
             AstroTwoCluster::start_tcp(4, cfg.clone(), FLUSH)
         } else {
-            AstroTwoCluster::start(4, cfg.clone(), FLUSH)
+            AstroTwoCluster::builder(4, cfg.clone(), FLUSH)
+                .signing(Keychain::deterministic_system(b"net-equivalence-signing", 4))
+                .start()
         }
         .expect("cluster starts");
         for seq in 0..12u64 {
@@ -123,12 +125,52 @@ fn tcp_cluster_recovers_sequence_gaps_like_inproc() {
 fn undersized_clusters_are_rejected_not_panicked() {
     for n in 0..4 {
         assert!(matches!(
-            AstroOneCluster::start(n, Astro1Config::default(), FLUSH),
+            AstroOneCluster::builder(n, Astro1Config::default(), FLUSH).start(),
             Err(ClusterError::TooSmall { .. })
         ));
         assert!(matches!(
             AstroOneCluster::start_tcp(n, Astro1Config::default(), FLUSH),
             Err(ClusterError::TooSmall { .. })
         ));
+    }
+}
+
+#[test]
+fn astro2_tcp_cluster_signs_with_caller_keychains() {
+    // The deployment entry point: pre-distributed transport *and* signing
+    // keys. Settling proves the replicas verify each other's ACKs and
+    // commit proofs under the caller's signing keys.
+    let signing = Keychain::deterministic_system(b"net-equivalence-caller-signing", 4);
+    let cfg = Astro2Config {
+        batch_size: 4,
+        initial_balance: Amount(300),
+        credit_mode: CreditMode::DirectIntraShard,
+        ..Astro2Config::default()
+    };
+    let cluster = AstroTwoCluster::builder(4, cfg, FLUSH)
+        .tcp(astro_runtime::demo_keychains(4))
+        .signing(signing.clone())
+        .start()
+        .expect("cluster starts");
+    for seq in 0..8u64 {
+        cluster.submit(Payment::new(1u64, seq, 2u64, 10u64)).unwrap();
+    }
+    assert_eq!(cluster.wait_settled(8, SETTLE).len(), 8);
+    let reported = cluster.signing_keychains().expect("tcp clusters keep their keys");
+    assert_eq!(reported.len(), signing.len());
+    for (got, want) in reported.iter().zip(&signing) {
+        assert_eq!(got.id(), want.id());
+        assert_eq!(
+            got.public(),
+            want.public(),
+            "replica {} signs with the caller's key",
+            want.id()
+        );
+    }
+    let finals = cluster.shutdown();
+    for (balances, count) in &finals {
+        assert_eq!(*count, 8);
+        assert_eq!(balances[&ClientId(1)], Amount(220));
+        assert_eq!(balances[&ClientId(2)], Amount(380));
     }
 }

@@ -45,11 +45,12 @@ fn threaded_runtime_matches_deterministic_testkit() {
     let payments = workload();
     let expected = testkit_balances(&payments);
 
-    let cluster = AstroOneCluster::start(
+    let cluster = AstroOneCluster::builder(
         4,
         Astro1Config { batch_size: 4, initial_balance: Amount(500) },
         Duration::from_millis(1),
     )
+    .start()
     .expect("4 replicas is a valid cluster");
     for p in &payments {
         cluster.submit(*p).unwrap();
@@ -71,11 +72,12 @@ fn threaded_runtime_is_deterministic_in_outcome_across_runs() {
     let payments = workload();
     let mut outcomes = Vec::new();
     for _ in 0..3 {
-        let cluster = AstroOneCluster::start(
+        let cluster = AstroOneCluster::builder(
             4,
             Astro1Config { batch_size: 8, initial_balance: Amount(500) },
             Duration::from_millis(1),
         )
+        .start()
         .expect("4 replicas is a valid cluster");
         for p in &payments {
             cluster.submit(*p).unwrap();
@@ -93,11 +95,12 @@ fn threaded_runtime_is_deterministic_in_outcome_across_runs() {
 fn threaded_runtime_handles_out_of_order_submission() {
     // Submit a client's later payments before earlier ones; the approval
     // queue must reorder them.
-    let cluster = AstroOneCluster::start(
+    let cluster = AstroOneCluster::builder(
         4,
         Astro1Config { batch_size: 2, initial_balance: Amount(100) },
         Duration::from_millis(1),
     )
+    .start()
     .expect("4 replicas is a valid cluster");
     // seq 2, 1, 0 — deliberately reversed.
     for seq in [2u64, 1, 0] {

@@ -8,7 +8,7 @@
 use astro_core::astro1::Astro1Config;
 use astro_obs::health::reason;
 use astro_obs::{HealthConfig, Registry};
-use astro_runtime::AstroOneCluster;
+use astro_runtime::{demo_keychains, AstroOneCluster};
 use astro_types::{Amount, Payment};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -33,9 +33,11 @@ fn fetch(addr: SocketAddr, path: &str) -> (String, String) {
 fn scrape_endpoint_serves_all_formats_while_the_cluster_settles() {
     let registry = Registry::new();
     let cfg = Astro1Config { batch_size: 8, initial_balance: Amount(1_000) };
-    let cluster =
-        AstroOneCluster::start_tcp_observed(4, cfg, Duration::from_millis(1), registry.clone())
-            .unwrap();
+    let cluster = AstroOneCluster::builder(4, cfg, Duration::from_millis(1))
+        .tcp(demo_keychains(4))
+        .registry(registry.clone())
+        .start()
+        .unwrap();
     let server = cluster.serve_metrics("127.0.0.1:0").expect("observed cluster must serve");
     let addr = server.addr();
 
@@ -91,9 +93,11 @@ fn scrape_endpoint_serves_all_formats_while_the_cluster_settles() {
 fn delta_scrape_reports_the_settles_of_its_own_window() {
     let registry = Registry::new();
     let cfg = Astro1Config { batch_size: 8, initial_balance: Amount(1_000) };
-    let cluster =
-        AstroOneCluster::start_tcp_observed(4, cfg, Duration::from_millis(1), registry.clone())
-            .unwrap();
+    let cluster = AstroOneCluster::builder(4, cfg, Duration::from_millis(1))
+        .tcp(demo_keychains(4))
+        .registry(registry.clone())
+        .start()
+        .unwrap();
     let server = cluster.serve_metrics("127.0.0.1:0").unwrap();
     let addr = server.addr();
 
@@ -128,9 +132,11 @@ fn delta_scrape_reports_the_settles_of_its_own_window() {
 fn killed_replica_goes_unreachable_on_the_live_health_monitor() {
     let registry = Registry::new();
     let cfg = Astro1Config { batch_size: 4, initial_balance: Amount(100_000) };
-    let mut cluster =
-        AstroOneCluster::start_tcp_observed(4, cfg, Duration::from_millis(1), registry.clone())
-            .unwrap();
+    let mut cluster = AstroOneCluster::builder(4, cfg, Duration::from_millis(1))
+        .tcp(demo_keychains(4))
+        .registry(registry.clone())
+        .start()
+        .unwrap();
     let monitor = cluster
         .spawn_health_monitor(HealthConfig::default(), Duration::from_millis(100))
         .expect("observed cluster must monitor");

@@ -5,9 +5,8 @@
 //! machines cannot tell the difference.
 
 use astro_core::astro2::{Astro2Config, CreditMode};
-use astro_net::InProcTransport;
 use astro_runtime::{AstroTwoCluster, VerifyMode};
-use astro_types::{Amount, ClientId, Payment};
+use astro_types::{Amount, ClientId, Keychain, Payment};
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -31,7 +30,10 @@ fn workload() -> Vec<Payment> {
 type Finals = Vec<(HashMap<ClientId, Amount>, usize)>;
 
 fn run(mode: VerifyMode, cfg: Astro2Config, payments: &[Payment]) -> Finals {
-    let cluster = AstroTwoCluster::start_with_verify(InProcTransport::new(N), N, cfg, FLUSH, mode)
+    let cluster = AstroTwoCluster::builder(N, cfg, FLUSH)
+        .signing(Keychain::deterministic_system(b"verify-pipeline-signing", N))
+        .verify(mode)
+        .start()
         .expect("cluster starts");
     for p in payments {
         cluster.submit(*p).expect("submit");
