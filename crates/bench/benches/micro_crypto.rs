@@ -7,12 +7,13 @@
 //! DESIGN.md §6.
 
 use astro_bench::json::Metric;
+use astro_crypto::field::Fe;
 use astro_crypto::hmac::MacKey;
 use astro_crypto::point::{mul_generator, multi_scalar_mul, Affine};
 use astro_crypto::scalar::Scalar;
 use astro_crypto::schnorr::batch_verify;
 use astro_crypto::sha256::sha256;
-use astro_crypto::Keypair;
+use astro_crypto::{Keypair, Signature};
 use criterion::{BatchSize, Criterion, Throughput};
 use std::hint::black_box;
 
@@ -36,6 +37,30 @@ fn bench_mac(c: &mut Criterion) {
     });
 }
 
+/// A full-width scalar: hash-derived, reduced mod n, so every
+/// multiplication runs its whole doubling chain.
+fn full_width_scalar(seed: &[u8]) -> Scalar {
+    Scalar::from_be_bytes_reduced(&sha256(seed))
+}
+
+fn bench_field(c: &mut Criterion) {
+    // The base-field operations under every curve operation: inversion
+    // closes each signature and each table normalization, square root
+    // decodes each compressed point.
+    let a = Fe::from_be_bytes(&sha256(b"field a")).expect("below p");
+    let b = Fe::from_be_bytes(&sha256(b"field b")).expect("below p");
+    c.bench_function("field/mul", |bench| {
+        bench.iter(|| black_box(&a).mul(black_box(&b)));
+    });
+    c.bench_function("field/invert", |bench| {
+        bench.iter(|| black_box(&a).invert());
+    });
+    let square = a.square();
+    c.bench_function("field/sqrt", |bench| {
+        bench.iter(|| black_box(&square).sqrt());
+    });
+}
+
 fn bench_schnorr(c: &mut Criterion) {
     let kp = Keypair::from_seed(b"bench");
     let msg = b"a typical payment batch digest ..".to_vec();
@@ -46,12 +71,18 @@ fn bench_schnorr(c: &mut Criterion) {
     c.bench_function("schnorr/verify", |b| {
         b.iter(|| kp.public().verify(black_box(&msg), black_box(&sig)));
     });
+    // Every signature received off the wire pays a decode: a square root
+    // to recover R's y coordinate.
+    let bytes = sig.to_bytes();
+    c.bench_function("schnorr/signature_decode", |b| {
+        b.iter(|| Signature::from_bytes(black_box(&bytes)));
+    });
 }
 
 fn bench_batch_verify(c: &mut Criterion) {
     // Calibrates CpuModel::verify_batch_marginal_ns: the per-signature cost
-    // inside a shared-doubling batch verification vs one-by-one. Size 32 is
-    // the acceptance gate (batch ≥ 3× cheaper per signature than serial).
+    // inside a shared-doubling batch verification vs one-by-one. Sizes 32
+    // and 4 (a quorum) are gated by `bench_gate` against their baselines.
     let mut g = c.benchmark_group("schnorr_batch_verify");
     for k in [4usize, 16, 32, 64] {
         let items: Vec<(Vec<u8>, astro_crypto::PublicKey, astro_crypto::Signature)> = (0..k)
@@ -77,7 +108,7 @@ fn bench_batch_verify(c: &mut Criterion) {
 
 fn bench_scalar_mul(c: &mut Criterion) {
     let mut g = c.benchmark_group("scalar_mul");
-    let k = Scalar::from_u64(0xdeadbeefcafebabe);
+    let k = full_width_scalar(b"scalar_mul");
     let gpt = Affine::generator();
     g.bench_function("naive_double_and_add", |b| {
         b.iter(|| gpt.mul_naive(black_box(&k)));
@@ -102,9 +133,7 @@ fn bench_msm(c: &mut Criterion) {
     for n in [2usize, 8, 32, 128] {
         let terms: Vec<(Scalar, Affine)> = (0..n)
             .map(|i| {
-                // Full-width 256-bit scalars: hash-derived, reduced mod n.
-                let seed = astro_crypto::sha256::sha256(&(i as u64).to_be_bytes());
-                let k = Scalar::from_be_bytes_reduced(&seed);
+                let k = full_width_scalar(&(i as u64).to_be_bytes());
                 let p = mul_generator(&Scalar::from_u64(i as u64 * 7 + 3));
                 (k, p)
             })
@@ -159,6 +188,7 @@ fn main() {
     let mut c = Criterion::default().sample_size(samples);
     bench_hash(&mut c);
     bench_mac(&mut c);
+    bench_field(&mut c);
     bench_schnorr(&mut c);
     bench_batch_verify(&mut c);
     bench_scalar_mul(&mut c);

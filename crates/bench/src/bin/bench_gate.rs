@@ -5,10 +5,13 @@
 //! Compares a fresh smoke-bench run against the committed baselines and
 //! fails (exit 1) when a gated metric drops below its floor:
 //!
-//! - `schnorr_batch_verify/speedup_32` (`batch_over_serial`) — the
-//!   batch-verification advantage must hold at ≥ 60% of baseline (the
-//!   ratio is hardware-independent, so a big drop means an algorithmic
-//!   regression, not a slow runner).
+//! - `schnorr_batch_verify/speedup_32` and `speedup_4`
+//!   (`batch_over_serial`) — the batch-verification advantage must hold
+//!   at ≥ 60% of baseline (the ratio is hardware-independent, so a big
+//!   drop means an algorithmic regression, not a slow runner), and a
+//!   batch must never be slower than checking one by one (absolute
+//!   floor 1.0). Size 4 is the quorum-sized batch Astro II's verify pool
+//!   actually runs.
 //! - `astro2/clients_512` and `astro2/clients_2048`
 //!   (`payments_per_sec`, fig4) — settled throughput must hold at ≥ 50%
 //!   of baseline (the simulator is deterministic; headroom covers the
@@ -64,7 +67,14 @@ const GATES: &[Gate] = &[
         metric: "schnorr_batch_verify/speedup_32",
         field: "batch_over_serial",
         floor_fraction: 0.6,
-        absolute_floor: 0.0,
+        absolute_floor: 1.0,
+    },
+    Gate {
+        file: "BENCH_micro_crypto.json",
+        metric: "schnorr_batch_verify/speedup_4",
+        field: "batch_over_serial",
+        floor_fraction: 0.6,
+        absolute_floor: 1.0,
     },
     Gate {
         file: "BENCH_fig4_latency_throughput.json",

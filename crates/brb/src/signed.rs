@@ -291,9 +291,15 @@ impl<P: Payload, A: Authenticator> SignedBrb<P, A> {
         {
             return Step::empty();
         }
-        // Defer the signature check: accumulate until a quorum is
+        // This replica's own ACK was signed here and came back through
+        // self-delivery, which never leaves the process: accept it as is.
+        // Defer every other signature check: accumulate until a quorum is
         // possible, then verify the whole pending set as one batch.
-        outgoing.unverified.push((from, sig));
+        if from == self.auth.me() {
+            outgoing.acks.insert(from, sig);
+        } else {
+            outgoing.unverified.push((from, sig));
+        }
         if outgoing.acks.len() + outgoing.unverified.len() < quorum {
             return Step::empty();
         }

@@ -1,10 +1,13 @@
 //! The secp256k1 base field GF(p), p = 2^256 − 2^32 − 977.
 //!
-//! Multiplication, squaring, and the Fermat exponentiations route through
-//! [`reduce_wide`], a reduction specialized to this modulus: since
-//! `2^256 ≡ 2^32 + 977 (mod p)` and that constant fits 33 bits, folding
-//! the high half of a 512-bit product costs four 64×33-bit multiplications
-//! instead of the generic fold's full 256×256 schoolbook pass. The generic
+//! Every operation is specialized to this modulus through
+//! `2^256 ≡ 2^32 + 977 (mod p)`. Multiplication and squaring reduce with
+//! [`reduce_wide`]: the constant fits 33 bits, so folding the high half of
+//! a 512-bit product costs four 64×33-bit multiplications instead of the
+//! generic fold's full 256×256 schoolbook pass. Addition folds a carry
+//! out of 256 bits with that same constant. Inversion and square root run
+//! secp256k1's fixed addition chains instead of a generic
+//! square-and-multiply. The generic
 //! [`Modulus`] path is kept as the reference implementation and
 //! cross-checked by property tests (`tests/reduction_properties.rs`).
 
@@ -90,6 +93,12 @@ impl Fe {
     /// The curve constant b = 7 of y² = x³ + 7.
     pub const SEVEN: Fe = Fe([7, 0, 0, 0]);
 
+    /// A constant from limbs already below p (curve and endomorphism
+    /// constants; the caller guarantees canonicity).
+    pub(crate) const fn from_canonical(limbs: Limbs) -> Self {
+        Fe(limbs)
+    }
+
     /// Creates a field element from limbs, reducing modulo p.
     pub fn from_limbs(limbs: Limbs) -> Self {
         Fe(P.reduce(&limbs))
@@ -131,9 +140,18 @@ impl Fe {
         self.0[0] & 1 == 1
     }
 
-    /// Field addition.
+    /// Field addition. The sum of two reduced operands is below 2p: a
+    /// carry out of 256 bits stands for `2^256 ≡ 2^32 + 977`, and folding
+    /// it in leaves a reduced value; otherwise at most one p is due.
     pub fn add(&self, other: &Fe) -> Fe {
-        Fe(P.add_mod(&self.0, &other.0))
+        let (sum, carry) = u256::add(&self.0, &other.0);
+        if carry {
+            Fe(u256::add(&sum, &P.neg_m).0)
+        } else if u256::lt(&sum, &P.m) {
+            Fe(sum)
+        } else {
+            Fe(u256::sub(&sum, &P.m).0)
+        }
     }
 
     /// Field subtraction.
@@ -167,40 +185,55 @@ impl Fe {
         self.mul(&Fe::from_u64(k))
     }
 
-    /// Multiplicative inverse via Fermat's little theorem (`self^(p−2)`).
+    /// `self` squared `n` times: `self^(2^n)`.
+    fn square_n(&self, n: usize) -> Fe {
+        let mut out = *self;
+        for _ in 0..n {
+            out = out.square();
+        }
+        out
+    }
+
+    /// The blocks `x_k = self^(2^k − 1)` for k ∈ {2, 22, 223}, the long
+    /// runs of one bits in both `p − 2` and `(p + 1)/4`. Built by the
+    /// addition chain 1, 2, 3, 6, 9, 11, 22, 44, 88, 176, 220, 223: 222
+    /// squarings and 11 multiplications.
+    fn one_runs(&self) -> [Fe; 3] {
+        let x2 = self.square().mul(self);
+        let x3 = x2.square().mul(self);
+        let x6 = x3.square_n(3).mul(&x3);
+        let x9 = x6.square_n(3).mul(&x3);
+        let x11 = x9.square_n(2).mul(&x2);
+        let x22 = x11.square_n(11).mul(&x11);
+        let x44 = x22.square_n(22).mul(&x22);
+        let x88 = x44.square_n(44).mul(&x44);
+        let x176 = x88.square_n(88).mul(&x88);
+        let x220 = x176.square_n(44).mul(&x44);
+        let x223 = x220.square_n(3).mul(&x3);
+        [x2, x22, x223]
+    }
+
+    /// Multiplicative inverse via Fermat's little theorem (`self^(p−2)`),
+    /// over a fixed addition chain: 255 squarings and 15 multiplications
+    /// where a generic square-and-multiply pays about 250 multiplications.
     ///
     /// # Panics
     ///
     /// Panics if `self` is zero (zero has no inverse).
     pub fn invert(&self) -> Fe {
         assert!(!self.is_zero(), "inverse of zero field element");
-        let (p_minus_2, _) = u256::sub(&P.m, &[2, 0, 0, 0]);
-        self.pow(&p_minus_2)
-    }
-
-    /// `self^exp` over the specialized multiplication/squaring (the
-    /// generic `Modulus::pow_mod` stays as the cross-checked reference).
-    fn pow(&self, exp: &Limbs) -> Fe {
-        u256::pow_ladder(self, exp, Fe::ONE, Fe::square, Fe::mul)
+        // p − 2 = [223 ones] 0 [22 ones] 0000 1 0 11 0 1.
+        let [x2, x22, x223] = self.one_runs();
+        x223.square_n(23).mul(&x22).square_n(5).mul(self).square_n(3).mul(&x2).square_n(2).mul(self)
     }
 
     /// Square root, if one exists. Since p ≡ 3 (mod 4) this is
-    /// `self^((p+1)/4)`; returns `None` when `self` is a non-residue.
+    /// `self^((p+1)/4)`, over a fixed addition chain of 253 squarings and
+    /// 13 multiplications; returns `None` when `self` is a non-residue.
     pub fn sqrt(&self) -> Option<Fe> {
-        // (p+1)/4: add 1 then shift right by 2.
-        let (p_plus_1, carry) = u256::add(&P.m, &[1, 0, 0, 0]);
-        debug_assert!(!carry);
-        let mut exp = p_plus_1;
-        // Right shift by 2 bits across limbs.
-        for _ in 0..2 {
-            let mut prev = 0u64;
-            for i in (0..4).rev() {
-                let cur = exp[i];
-                exp[i] = (cur >> 1) | (prev << 63);
-                prev = cur & 1;
-            }
-        }
-        let root = self.pow(&exp);
+        // (p + 1)/4 = [223 ones] 0 [22 ones] 0000 11 00.
+        let [x2, x22, x223] = self.one_runs();
+        let root = x223.square_n(23).mul(&x22).square_n(6).mul(&x2).square_n(2);
         if root.square() == *self {
             Some(root)
         } else {

@@ -2,7 +2,10 @@
 //!
 //! Points are manipulated in Jacobian projective coordinates internally
 //! (avoiding per-operation field inversions) and exposed as [`Affine`]
-//! values at API boundaries.
+//! values at API boundaries. Variable-base multiplication goes through one
+//! multi-scalar multiplication ([`multi_scalar_mul`]) that splits
+//! full-width scalars with the curve's GLV endomorphism
+//! `λ·(x, y) = (β·x, y)`.
 
 use crate::field::Fe;
 use crate::scalar::Scalar;
@@ -27,19 +30,36 @@ pub struct Jacobian {
     z: Fe,
 }
 
+/// The SEC 2 generator of secp256k1.
+const GENERATOR: Affine = Affine {
+    x: Fe::from_canonical([
+        0x59F2815B16F81798,
+        0x029BFCDB2DCE28D9,
+        0x55A06295CE870B07,
+        0x79BE667EF9DCBBAC,
+    ]),
+    y: Fe::from_canonical([
+        0x9C47D08FFB10D4B8,
+        0xFD17B448A6855419,
+        0x5DA4FBFC0E1108A8,
+        0x483ADA7726A3C465,
+    ]),
+    infinity: false,
+};
+
+/// β, the cube root of unity mod p that realizes the endomorphism:
+/// `λ·(x, y) = (β·x, y)` for [`crate::scalar::LAMBDA`].
+const BETA: Fe = Fe::from_canonical([
+    0xC1396C28719501EE,
+    0x9CF0497512F58995,
+    0x6E64479EAC3434E9,
+    0x7AE96A2B657C0710,
+]);
+
 impl Affine {
     /// The conventional generator point G of secp256k1.
     pub fn generator() -> Affine {
-        // SEC 2 standard generator coordinates.
-        let gx = Fe::from_be_bytes(&hex32(
-            "79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798",
-        ))
-        .expect("generator x");
-        let gy = Fe::from_be_bytes(&hex32(
-            "483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8",
-        ))
-        .expect("generator y");
-        Affine { x: gx, y: gy, infinity: false }
+        GENERATOR
     }
 
     /// The point at infinity (group identity).
@@ -161,45 +181,23 @@ impl Affine {
     }
 
     /// Scalar multiplication `k·self`. Uses the precomputed fixed-base comb
-    /// for the generator and wNAF windowed double-and-add otherwise.
+    /// for the generator and the GLV-split wNAF [`multi_scalar_mul`]
+    /// otherwise.
     pub fn mul(&self, k: &Scalar) -> Affine {
-        if *self == Affine::generator() {
+        if *self == GENERATOR {
             return mul_generator(k);
         }
-        self.mul_window(k)
+        multi_scalar_mul(&[(*k, *self)]).to_affine()
     }
 
-    /// wNAF windowed scalar multiplication for arbitrary bases: a table of
-    /// odd multiples, then one addition per nonzero signed digit — density
-    /// 1/(w+1) instead of the 1/2 of plain double-and-add. The table stays
-    /// in Jacobian form: for a single multiplication the field inversion
-    /// that affine normalization costs is dearer than the cheaper mixed
-    /// additions it buys (batched callers — [`multi_scalar_mul`] — do
-    /// normalize, amortizing one inversion over every table).
-    fn mul_window(&self, k: &Scalar) -> Affine {
-        if self.infinity || k.is_zero() {
-            return Affine::infinity();
+    /// The endomorphism image `λ·self = (β·x, y)`: one field
+    /// multiplication instead of a scalar multiplication.
+    fn lambda_image(&self) -> Affine {
+        if self.infinity {
+            *self
+        } else {
+            Affine { x: self.x.mul(&BETA), y: self.y, infinity: false }
         }
-        let digits = wnaf_digits(k, WNAF_WIDTH);
-        let table = odd_multiples(self, WNAF_TABLE_LEN);
-        let mut acc = Jacobian::infinity();
-        for &d in digits.iter().rev() {
-            acc = acc.double();
-            if d > 0 {
-                acc = acc.add(&table[(d as usize - 1) / 2]);
-            } else if d < 0 {
-                acc = acc.add(&table[((-d) as usize - 1) / 2].neg());
-            }
-        }
-        acc.to_affine()
-    }
-
-    /// Computes `a·G + b·Q` with shared doublings — the core of signature
-    /// verification. The generator's window table is precomputed once per
-    /// process (see [`multi_scalar_mul`]); only Q's table is built per
-    /// call.
-    pub fn double_scalar_mul_generator(a: &Scalar, b: &Scalar, q: &Affine) -> Affine {
-        multi_scalar_mul(&[(*a, Affine::generator()), (*b, *q)])
     }
 }
 
@@ -297,6 +295,17 @@ impl Jacobian {
         Jacobian { x: x3, y: y3, z: z3 }
     }
 
+    /// True if this is the point `a`, compared projectively —
+    /// `X == x·Z²` and `Y == y·Z³` — so no inversion is paid. This is how
+    /// signature verification checks its multi-scalar result against R.
+    pub fn eq_affine(&self, a: &Affine) -> bool {
+        if self.is_infinity() || a.infinity {
+            return self.is_infinity() && a.infinity;
+        }
+        let z2 = self.z.square();
+        self.x == a.x.mul(&z2) && self.y == a.y.mul(&z2.mul(&self.z))
+    }
+
     /// Converts back to affine coordinates (one field inversion).
     pub fn to_affine(&self) -> Affine {
         if self.is_infinity() {
@@ -311,7 +320,9 @@ impl Jacobian {
 
 /// Window width for per-call wNAF tables (arbitrary bases). Width 4 is the
 /// sweet spot when the table is built per call: halving the table cost
-/// (7 vs 15 additions) outweighs the slightly higher digit density.
+/// (7 vs 15 additions) outweighs the slightly higher digit density. Each
+/// table also gets its λ-image, for split scalars, at the price of one
+/// field multiplication per entry.
 const WNAF_WIDTH: u32 = 4;
 /// Odd multiples stored per arbitrary base: 1P, 3P, …, 15P (width 4).
 const WNAF_TABLE_LEN: usize = 1 << (WNAF_WIDTH - 1);
@@ -439,62 +450,104 @@ fn add_digit(acc: Jacobian, d: i8, table: &[Affine]) -> Jacobian {
     }
 }
 
-/// The generator's wNAF odd-multiple table, built once per process.
-fn generator_wnaf_table() -> &'static [Affine] {
-    static TABLE: OnceLock<Vec<Affine>> = OnceLock::new();
-    TABLE
-        .get_or_init(|| to_affine_batch(&odd_multiples(&Affine::generator(), G_WNAF_TABLE_LEN)))
-        .as_slice()
+/// The generator's wNAF odd-multiple tables, for G and for its λ-image,
+/// built once per process.
+fn generator_wnaf_tables() -> &'static [Vec<Affine>; 2] {
+    static TABLES: OnceLock<[Vec<Affine>; 2]> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let g = to_affine_batch(&odd_multiples(&GENERATOR, G_WNAF_TABLE_LEN));
+        let lambda_g = g.iter().map(Affine::lambda_image).collect();
+        [g, lambda_g]
+    })
+}
+
+/// The odd-multiple table one wNAF lane adds from.
+#[derive(Clone, Copy)]
+enum Table {
+    /// The cached generator table.
+    Generator,
+    /// The cached table of λ·G.
+    LambdaGenerator,
+    /// The per-call table of the `j`-th non-generator base.
+    Base(usize),
+    /// The λ-image of the `j`-th non-generator base's table.
+    LambdaBase(usize),
 }
 
 /// Multi-scalar multiplication `Σ kᵢ·Pᵢ` with shared doublings (windowed
-/// Straus/wNAF): one doubling chain serves every term, and each term costs
-/// ~51 mixed additions (signed width-4 digits, density ≈ 1/5) instead of
-/// the ~128 of bit-at-a-time evaluation. Generator terms use a process-wide
-/// precomputed 7-bit table; the per-call tables of the remaining terms are
-/// normalized to affine with a single shared field inversion. This is what
-/// makes Schnorr batch verification several times cheaper per signature
-/// than one-by-one verification.
-pub fn multi_scalar_mul(terms: &[(Scalar, Affine)]) -> Affine {
-    let generator = Affine::generator();
-    // Generator terms ride the cached wide table; the rest get per-call
-    // tables, all normalized to affine with ONE shared inversion.
-    let mut g_digits: Vec<Vec<i8>> = Vec::new();
-    let mut others: Vec<(Affine, Vec<i8>)> = Vec::new();
+/// Straus/wNAF over GLV-split scalars), returned in Jacobian form so a
+/// caller that only compares the result pays no inversion.
+///
+/// Every scalar wider than 128 bits is split into `±k1 ± k2·λ` with both
+/// halves below 2^128 ([`Scalar::split_glv`]), and `k2` runs against the
+/// λ-image of the base's table. The one doubling chain then has ~129
+/// steps instead of ~257. Scalars already at most 128 bits wide (batch
+/// weights) are not split: splitting would double their additions and
+/// shorten nothing. Generator terms use process-wide 7-bit tables; the
+/// per-call 4-bit tables of the remaining terms are normalized to affine
+/// with a single shared field inversion. This is what makes Schnorr
+/// batch verification cheaper per signature than one-by-one
+/// verification.
+pub fn multi_scalar_mul(terms: &[(Scalar, Affine)]) -> Jacobian {
+    // Each lane is the wNAF digits of one scalar (or GLV half), signed
+    // as the half is, against one table.
+    let mut lanes: Vec<(Vec<i8>, Table)> = Vec::with_capacity(2 * terms.len());
+    let mut bases: Vec<Affine> = Vec::new();
     for (k, p) in terms {
         if p.is_infinity() || k.is_zero() {
             continue;
         }
-        if *p == generator {
-            g_digits.push(wnaf_digits(k, G_WNAF_WIDTH));
+        let (width, table, lambda_table) = if *p == GENERATOR {
+            (G_WNAF_WIDTH, Table::Generator, Table::LambdaGenerator)
         } else {
-            others.push((*p, wnaf_digits(k, WNAF_WIDTH)));
+            bases.push(*p);
+            let j = bases.len() - 1;
+            (WNAF_WIDTH, Table::Base(j), Table::LambdaBase(j))
+        };
+        if k.is_half_width() {
+            lanes.push((wnaf_digits(k, width), table));
+            continue;
         }
+        let signed_digits = |(half, negated): (Scalar, bool)| {
+            let mut digits = wnaf_digits(&half, width);
+            if negated {
+                digits.iter_mut().for_each(|d| *d = -*d);
+            }
+            digits
+        };
+        let [half1, half2] = k.split_glv();
+        lanes.push((signed_digits(half1), table));
+        lanes.push((signed_digits(half2), lambda_table));
     }
-    let mut jac_tables = Vec::with_capacity(others.len() * WNAF_TABLE_LEN);
-    for (p, _) in &others {
+    let mut jac_tables = Vec::with_capacity(bases.len() * WNAF_TABLE_LEN);
+    for p in &bases {
         jac_tables.extend(odd_multiples(p, WNAF_TABLE_LEN));
     }
     let tables = to_affine_batch(&jac_tables);
-    let g_table = generator_wnaf_table();
+    let lambda_tables: Vec<Affine> = tables.iter().map(Affine::lambda_image).collect();
+    let g_tables = generator_wnaf_tables();
+    let resolve = |table: Table| -> &[Affine] {
+        match table {
+            Table::Generator => &g_tables[0],
+            Table::LambdaGenerator => &g_tables[1],
+            Table::Base(j) => &tables[j * WNAF_TABLE_LEN..(j + 1) * WNAF_TABLE_LEN],
+            Table::LambdaBase(j) => &lambda_tables[j * WNAF_TABLE_LEN..(j + 1) * WNAF_TABLE_LEN],
+        }
+    };
+    let lanes: Vec<(&[i8], &[Affine])> =
+        lanes.iter().map(|(digits, table)| (digits.as_slice(), resolve(*table))).collect();
 
-    let longest =
-        g_digits.iter().map(Vec::len).chain(others.iter().map(|(_, d)| d.len())).max().unwrap_or(0);
+    let longest = lanes.iter().map(|(digits, _)| digits.len()).max().unwrap_or(0);
     let mut acc = Jacobian::infinity();
     for i in (0..longest).rev() {
         acc = acc.double();
-        for digits in &g_digits {
+        for &(digits, table) in &lanes {
             if let Some(&d) = digits.get(i) {
-                acc = add_digit(acc, d, g_table);
-            }
-        }
-        for (j, (_, digits)) in others.iter().enumerate() {
-            if let Some(&d) = digits.get(i) {
-                acc = add_digit(acc, d, &tables[j * WNAF_TABLE_LEN..(j + 1) * WNAF_TABLE_LEN]);
+                acc = add_digit(acc, d, table);
             }
         }
     }
-    acc.to_affine()
+    acc
 }
 
 /// Fixed-base comb table for the generator: `TABLE[w][d] = d · 2^(4w) · G`
@@ -545,17 +598,17 @@ pub fn mul_generator(k: &Scalar) -> Affine {
     acc.to_affine()
 }
 
-fn hex32(s: &str) -> [u8; 32] {
-    let mut out = [0u8; 32];
-    for i in 0..32 {
-        out[i] = u8::from_str_radix(&s[2 * i..2 * i + 2], 16).expect("valid hex");
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn hex32(s: &str) -> [u8; 32] {
+        let mut out = [0u8; 32];
+        for i in 0..32 {
+            out[i] = u8::from_str_radix(&s[2 * i..2 * i + 2], 16).expect("valid hex");
+        }
+        out
+    }
 
     #[test]
     fn generator_is_on_curve() {
@@ -591,7 +644,7 @@ mod tests {
         for k in [1u64, 2, 3, 7, 0xffff, 0xdeadbeef, u64::MAX] {
             let s = Scalar::from_u64(k);
             let a = g.mul_naive(&s);
-            let b = g.mul_window(&s);
+            let b = multi_scalar_mul(&[(s, g)]).to_affine();
             let c = mul_generator(&s);
             assert_eq!(a, b, "k={k}");
             assert_eq!(a, c, "k={k}");
@@ -614,7 +667,7 @@ mod tests {
         let q = g.mul(&Scalar::from_u64(31337));
         let a = Scalar::from_u64(1111);
         let b = Scalar::from_u64(2222);
-        let combined = Affine::double_scalar_mul_generator(&a, &b, &q);
+        let combined = multi_scalar_mul(&[(a, g), (b, q)]).to_affine();
         let separate = g.mul(&a).add(&q.mul(&b));
         assert_eq!(combined, separate);
     }
@@ -724,7 +777,7 @@ mod tests {
             vec![(scalar_from_seed(11), g), (scalar_from_seed(22), q), (scalar_from_seed(33), r)];
         let expected =
             terms.iter().fold(Affine::infinity(), |acc, (k, p)| acc.add(&p.mul_naive(k)));
-        assert_eq!(multi_scalar_mul(&terms), expected);
+        assert_eq!(multi_scalar_mul(&terms).to_affine(), expected);
     }
 
     #[test]
@@ -736,7 +789,8 @@ mod tests {
         assert!(multi_scalar_mul(&[(Scalar::ONE, Affine::infinity())]).is_infinity());
         let k = scalar_from_seed(99);
         assert_eq!(
-            multi_scalar_mul(&[(k, g), (Scalar::ZERO, g), (Scalar::ONE, Affine::infinity())]),
+            multi_scalar_mul(&[(k, g), (Scalar::ZERO, g), (Scalar::ONE, Affine::infinity())])
+                .to_affine(),
             g.mul_naive(&k)
         );
         // Terms that cancel: k·G + (n−k)·G = ∞.
@@ -749,7 +803,7 @@ mod tests {
         let base = g.mul_naive(&Scalar::from_u64(31337));
         for seed in [5u64, 6, 7] {
             let k = scalar_from_seed(seed);
-            assert_eq!(base.mul_window(&k), base.mul_naive(&k), "seed={seed}");
+            assert_eq!(base.mul(&k), base.mul_naive(&k), "seed={seed}");
             assert_eq!(mul_generator(&k), g.mul_naive(&k), "seed={seed}");
         }
     }

@@ -165,7 +165,9 @@ impl Scalar {
         Scalar(N.neg_mod(&self.0))
     }
 
-    /// Multiplicative inverse via Fermat (`self^(n−2)`).
+    /// Multiplicative inverse via Fermat (`self^(n−2)`), through the
+    /// generic exponentiation: neither signing nor verification inverts a
+    /// scalar.
     ///
     /// # Panics
     ///
@@ -173,8 +175,74 @@ impl Scalar {
     pub fn invert(&self) -> Scalar {
         assert!(!self.is_zero(), "inverse of zero scalar");
         let (n_minus_2, _) = u256::sub(&N.m, &[2, 0, 0, 0]);
-        u256::pow_ladder(self, &n_minus_2, Scalar::ONE, |a| a.mul(a), Scalar::mul)
+        Scalar(N.pow_mod(&self.0, &n_minus_2))
     }
+
+    /// True if the value is below 2^128 — the width of batch weights, and
+    /// of both halves of a [`split_glv`](Self::split_glv).
+    pub fn is_half_width(&self) -> bool {
+        self.0[2] == 0 && self.0[3] == 0
+    }
+
+    /// GLV decomposition: `self ≡ ±k1 ± k2·λ (mod n)` with both `k1` and
+    /// `k2` below 2^128, returned as `(magnitude, negated)` pairs. Since
+    /// `λ·P = (β·x, y)` costs one field multiplication, a full-width
+    /// multiplication becomes two half-width ones that share a doubling
+    /// chain of half the length.
+    ///
+    /// Babai rounding against the reduced basis of the lattice
+    /// `{(a, b) : a + b·λ ≡ 0 (mod n)}` (Hankerson–Menezes–Vanstone,
+    /// algorithm 3.74): `c1 = round(b2·k/n)`, `c2 = round(−b1·k/n)` are
+    /// computed as `(k·g) >> 384` with `g = round(2^384·b/n)`, then
+    /// `k2 = −(c1·b1 + c2·b2)` and `k1 = k − k2·λ`, both mod n, and each
+    /// is mapped to the representative of least absolute value.
+    pub fn split_glv(&self) -> [(Scalar, bool); 2] {
+        let c1 = mul_shift_384(&self.0, &GLV_G1);
+        let c2 = mul_shift_384(&self.0, &GLV_G2);
+        let k2 = Scalar(c1).mul(&GLV_MINUS_B1).add(&Scalar(c2).mul(&GLV_MINUS_B2));
+        let k1 = self.sub(&k2.mul(&LAMBDA));
+        [k1.abs_signed(), k2.abs_signed()]
+    }
+
+    /// `(|v|, v > n/2)`, reading `v` as a signed residue in `(−n/2, n/2]`.
+    fn abs_signed(self) -> (Scalar, bool) {
+        if u256::lt(&HALF_N, &self.0) {
+            (self.neg(), true)
+        } else {
+            (self, false)
+        }
+    }
+}
+
+/// λ, the cube root of unity mod n for which `λ·(x, y) = (β·x, y)` on
+/// secp256k1 (with β in [`crate::point`]).
+pub const LAMBDA: Scalar =
+    Scalar([0xDF02967C1B23BD72, 0x122E22EA20816678, 0xA5261C028812645A, 0x5363AD4CC05C30E0]);
+
+/// ⌊n/2⌋: residues above it are negative in the signed view.
+const HALF_N: Limbs =
+    [0xDFE92F46681B20A0, 0x5D576E7357A4501D, 0xFFFFFFFFFFFFFFFF, 0x7FFFFFFFFFFFFFFF];
+
+/// `round(2^384·b2/n)` and `round(2^384·(−b1)/n)` for the reduced basis
+/// `(a1, b1) = (0x3086d221a7d46bcde86c90e49284eb15,
+/// −0xe4437ed6010e88286f547fa90abfe4c3)`,
+/// `(a2, b2) = (0x114ca50f7a8e2f3f657c1108d9d44cfd8, a1)`.
+const GLV_G1: Limbs =
+    [0xE893209A45DBB031, 0x3DAA8A1471E8CA7F, 0xE86C90E49284EB15, 0x3086D221A7D46BCD];
+const GLV_G2: Limbs =
+    [0x1571B4AE8AC47F71, 0x221208AC9DF506C6, 0x6F547FA90ABFE4C4, 0xE4437ED6010E8828];
+/// `−b1` and `−b2 mod n`.
+const GLV_MINUS_B1: Scalar = Scalar([0x6F547FA90ABFE4C3, 0xE4437ED6010E8828, 0, 0]);
+const GLV_MINUS_B2: Scalar =
+    Scalar([0xD765CDA83DB1562C, 0x8A280AC50774346D, 0xFFFFFFFFFFFFFFFE, 0xFFFFFFFFFFFFFFFF]);
+
+/// `round(a·g / 2^384)`: the top 128 bits of the 512-bit product, plus
+/// the bit below them.
+fn mul_shift_384(a: &Limbs, g: &Limbs) -> Limbs {
+    let w = u256::mul_wide(a, g);
+    let round = w[5] >> 63;
+    let (lo, carry) = w[6].overflowing_add(round);
+    [lo, w[7] + carry as u64, 0, 0]
 }
 
 impl core::fmt::Display for Scalar {

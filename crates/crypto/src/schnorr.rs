@@ -27,7 +27,7 @@
 //! assert!(!keypair.public().verify(b"pay bob 6", &sig));
 //! ```
 
-use crate::point::{Affine, COMPRESSED_LEN};
+use crate::point::{multi_scalar_mul, Affine, COMPRESSED_LEN};
 use crate::scalar::Scalar;
 use crate::sha256::{sha256_concat, Sha256};
 
@@ -174,9 +174,9 @@ impl PublicKey {
             return false;
         }
         let e = challenge(&signature.r, self, message);
-        // s·G == R + e·P  ⇔  s·G + (−e)·P == R
-        let lhs = Affine::double_scalar_mul_generator(&signature.s, &e.neg(), &self.point);
-        lhs == signature.r
+        // s·G == R + e·P  ⇔  s·G + (−e)·P == R, compared projectively.
+        let lhs = multi_scalar_mul(&[(signature.s, Affine::generator()), (e.neg(), self.point)]);
+        lhs.eq_affine(&signature.r)
     }
 
     /// Serializes to the 33-byte compressed form.
@@ -391,6 +391,34 @@ mod tests {
         let kp = Keypair::from_seed(b"test-key-1");
         let sig = kp.sign(b"hello astro");
         assert!(kp.public().verify(b"hello astro", &sig));
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn signature_and_agreement_bytes_are_pinned() {
+        // Fixed outputs of the curve kernel: a change to field, point or
+        // scalar arithmetic must leave every key, signature and shared
+        // secret byte-identical.
+        let kp = Keypair::from_seed(b"pinned signing key");
+        assert_eq!(
+            hex(&kp.public().to_bytes()),
+            "027c9c39254a2c81c8bcf9cd6e3387ab7d4cfa88c68cfbffc63773c0f70616e3d1"
+        );
+        let sig = kp.sign(b"ACK (alice, 3)");
+        assert_eq!(
+            hex(&sig.to_bytes()),
+            "026f3d0a6c9a11a5d207713234a774cc58593ba057e2f5028db8f1fb1541581c\
+             de14ca39a3358e51f14ebe043361c4353e9edfc6525ba7d4757703b8a6e9570bd6"
+        );
+        assert!(kp.public().verify(b"ACK (alice, 3)", &sig));
+        let peer = Keypair::from_seed(b"peer");
+        assert_eq!(
+            hex(&kp.agree(peer.public())),
+            "fe2e81db733a7dec72019cf01b47151428a08b5dcc3647b8089c992a0aac5df7"
+        );
     }
 
     #[test]

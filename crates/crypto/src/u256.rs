@@ -15,35 +15,34 @@ pub type Wide = [u64; 8];
 /// The zero value.
 pub const ZERO: Limbs = [0; 4];
 
-/// `a + b`, returning the sum and the carry-out bit.
+/// `a + b`, returning the sum and the carry-out bit: one carry chain of
+/// native overflowing adds (no 128-bit intermediates).
 #[inline]
 pub fn add(a: &Limbs, b: &Limbs) -> (Limbs, bool) {
     let mut out = [0u64; 4];
-    let mut carry = 0u128;
+    let mut carry = false;
     for i in 0..4 {
-        let sum = a[i] as u128 + b[i] as u128 + carry;
-        out[i] = sum as u64;
-        carry = sum >> 64;
+        let (s, c1) = a[i].overflowing_add(b[i]);
+        let (s, c2) = s.overflowing_add(carry as u64);
+        out[i] = s;
+        carry = c1 | c2;
     }
-    (out, carry != 0)
+    (out, carry)
 }
 
-/// `a - b`, returning the difference and the borrow-out bit.
+/// `a - b`, returning the difference and the borrow-out bit: one borrow
+/// chain of native overflowing subtractions.
 #[inline]
 pub fn sub(a: &Limbs, b: &Limbs) -> (Limbs, bool) {
     let mut out = [0u64; 4];
-    let mut borrow = 0i128;
+    let mut borrow = false;
     for i in 0..4 {
-        let diff = a[i] as i128 - b[i] as i128 - borrow;
-        if diff < 0 {
-            out[i] = (diff + (1i128 << 64)) as u64;
-            borrow = 1;
-        } else {
-            out[i] = diff as u64;
-            borrow = 0;
-        }
+        let (d, b1) = a[i].overflowing_sub(b[i]);
+        let (d, b2) = d.overflowing_sub(borrow as u64);
+        out[i] = d;
+        borrow = b1 | b2;
     }
-    (out, borrow != 0)
+    (out, borrow)
 }
 
 /// Full 256×256 → 512-bit schoolbook multiplication.
@@ -100,36 +99,6 @@ pub fn sqr_wide(a: &Limbs) -> Wide {
     }
     debug_assert_eq!(c, 0, "a² < 2^512");
     out
-}
-
-/// Square-and-multiply exponentiation (MSB first) over caller-supplied
-/// squaring and multiplication — the one ladder behind `Fe` and `Scalar`
-/// Fermat inversions, so the specialized reductions (and any future
-/// hardening of the ladder itself) live in exactly one place. `base` must
-/// already be reduced; returns `one` when `exp` is zero.
-pub fn pow_ladder<T: Copy>(
-    base: &T,
-    exp: &Limbs,
-    one: T,
-    sqr: impl Fn(&T) -> T,
-    mul: impl Fn(&T, &T) -> T,
-) -> T {
-    let mut result = one;
-    let mut started = false;
-    for i in (0..256).rev() {
-        if started {
-            result = sqr(&result);
-        }
-        if bit(exp, i) {
-            if started {
-                result = mul(&result, base);
-            } else {
-                result = *base;
-                started = true;
-            }
-        }
-    }
-    result
 }
 
 /// Comparison: `a < b`.
@@ -290,7 +259,9 @@ impl Modulus {
         }
     }
 
-    /// Modular exponentiation by square-and-multiply (MSB first).
+    /// Modular exponentiation by square-and-multiply (MSB first) — the
+    /// generic reference the specialized field and scalar exponentiations
+    /// are cross-checked against.
     pub fn pow_mod(&self, base: &Limbs, exp: &Limbs) -> Limbs {
         let mut result: Limbs = [1, 0, 0, 0];
         let mut started = false;

@@ -101,18 +101,14 @@ proptest! {
 
     #[test]
     fn fermat_inversions_match_generic_pow(a in arb_limbs()) {
-        // Inversion runs a full square-and-multiply chain over the
-        // specialized multiplication — compare against the generic
-        // exponentiation end to end.
+        // Field inversion runs an addition chain over the specialized
+        // multiplication — compare against the generic exponentiation
+        // end to end. Only the field side is cross-checked: scalar
+        // inversion is that generic exponentiation itself.
         let fa = Fe::from_limbs(a);
         if !fa.is_zero() {
             let (p_minus_2, _) = u256::sub(&P.m, &[2, 0, 0, 0]);
             prop_assert_eq!(fa.invert().limbs(), &P.pow_mod(fa.limbs(), &p_minus_2));
-        }
-        let sa = Scalar::from_be_bytes_reduced(&u256::to_be_bytes(&a));
-        if !sa.is_zero() {
-            let (n_minus_2, _) = u256::sub(&N.m, &[2, 0, 0, 0]);
-            prop_assert_eq!(sa.invert().limbs(), &N.pow_mod(sa.limbs(), &n_minus_2));
         }
     }
 }

@@ -199,60 +199,68 @@ impl PaymentTracer {
     /// [`now_nanos`](Self::now_nanos), for batch stamp sites.
     pub fn stage_at(&self, now: u64, spender: u64, seq: u64, stage: Stage) {
         let start = home(spender, seq);
-        let mut free_at: Option<&Slot> = None;
-        for i in 0..PROBE_LIMIT {
-            let slot = &self.inner.slots[(start + i) & (SLOTS - 1)];
-            // Acquire pairs with the Release publish in the claim path,
-            // so a matching key implies the stamps array is visible.
-            match slot.state.load(Ordering::Acquire) {
-                OCCUPIED
-                    if slot.spender.load(Ordering::Relaxed) == spender
-                        && slot.seq.load(Ordering::Relaxed) == seq =>
-                {
-                    if stage == Stage::Confirm {
-                        self.close(slot, now);
-                    } else {
-                        // First write wins; same-key stamps are causally
-                        // ordered, so a plain read-then-store suffices.
-                        let cell = &slot.stamps[stage as usize];
-                        if cell.load(Ordering::Relaxed) == 0 {
-                            cell.store(now, Ordering::Relaxed);
+        // Each pass probes the window for this payment's record; a pass
+        // ends in a stamp, a claim, or a lost claim race, which re-probes.
+        loop {
+            let mut free_at: Option<&Slot> = None;
+            for i in 0..PROBE_LIMIT {
+                let slot = &self.inner.slots[(start + i) & (SLOTS - 1)];
+                // Acquire pairs with the Release publish in the claim path,
+                // so a matching key implies the stamps array is visible.
+                match slot.state.load(Ordering::Acquire) {
+                    OCCUPIED
+                        if slot.spender.load(Ordering::Relaxed) == spender
+                            && slot.seq.load(Ordering::Relaxed) == seq =>
+                    {
+                        if stage == Stage::Confirm {
+                            self.close(slot, now);
+                        } else {
+                            // First write wins; same-key stamps are causally
+                            // ordered, so a plain read-then-store suffices.
+                            let cell = &slot.stamps[stage as usize];
+                            if cell.load(Ordering::Relaxed) == 0 {
+                                cell.store(now, Ordering::Relaxed);
+                            }
                         }
+                        return;
                     }
-                    return;
+                    FREE if free_at.is_none() => free_at = Some(slot),
+                    // CLAIMING is another payment mid-insert (same-key claims
+                    // cannot race, see the module docs): probe on.
+                    _ => {}
                 }
-                FREE if free_at.is_none() => free_at = Some(slot),
-                // CLAIMING is another payment mid-insert (same-key claims
-                // cannot race, see the module docs): probe on.
-                _ => {}
             }
-        }
-        // No record. A confirm with no history is ignored — the payment
-        // settled before tracing attached, or was already closed.
-        if stage == Stage::Confirm {
+            // No record. A confirm with no history is ignored — the payment
+            // settled before tracing attached, or was already closed.
+            if stage == Stage::Confirm {
+                return;
+            }
+            let Some(slot) = free_at else {
+                self.inner.dropped.inc();
+                return;
+            };
+            if slot
+                .state
+                .compare_exchange(FREE, CLAIMING, Ordering::Acquire, Ordering::Relaxed)
+                .is_err()
+            {
+                // A different payment took the slot between probe and
+                // claim. Giving up here would lose this stamp for good: a
+                // later stage re-claims a record without it (a lost Submit
+                // means the end-to-end span is never fed), and a lost
+                // Settle as well leaves the Confirm nothing to close. So
+                // probe again; the winner's claim was progress, so this
+                // cannot spin without some payment getting through.
+                continue;
+            }
+            slot.spender.store(spender, Ordering::Relaxed);
+            slot.seq.store(seq, Ordering::Relaxed);
+            for (i, cell) in slot.stamps.iter().enumerate() {
+                cell.store(if i == stage as usize { now } else { 0 }, Ordering::Relaxed);
+            }
+            slot.state.store(OCCUPIED, Ordering::Release);
             return;
         }
-        let Some(slot) = free_at else {
-            self.inner.dropped.inc();
-            return;
-        };
-        if slot
-            .state
-            .compare_exchange(FREE, CLAIMING, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            // A different payment took the slot between probe and claim.
-            // Losing one stamp to this near-impossible interleave is
-            // acceptable for a metrics path; the record self-heals at the
-            // next stage.
-            return;
-        }
-        slot.spender.store(spender, Ordering::Relaxed);
-        slot.seq.store(seq, Ordering::Relaxed);
-        for (i, cell) in slot.stamps.iter().enumerate() {
-            cell.store(if i == stage as usize { now } else { 0 }, Ordering::Relaxed);
-        }
-        slot.state.store(OCCUPIED, Ordering::Release);
     }
 
     /// Reads the record out of `slot`, frees it, and queues it for span
