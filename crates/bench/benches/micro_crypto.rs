@@ -11,7 +11,7 @@ use astro_crypto::field::Fe;
 use astro_crypto::hmac::MacKey;
 use astro_crypto::point::{mul_generator, multi_scalar_mul, Affine};
 use astro_crypto::scalar::Scalar;
-use astro_crypto::schnorr::batch_verify;
+use astro_crypto::schnorr::{batch_verify, PreparedKey};
 use astro_crypto::sha256::sha256;
 use astro_crypto::{Keypair, Signature};
 use criterion::{BatchSize, Criterion, Throughput};
@@ -71,8 +71,14 @@ fn bench_schnorr(c: &mut Criterion) {
     c.bench_function("schnorr/verify", |b| {
         b.iter(|| kp.public().verify(black_box(&msg), black_box(&sig)));
     });
-    // Every signature received off the wire pays a decode: a square root
-    // to recover R's y coordinate.
+    // The same check against a key book's kept 7-bit table (built by the
+    // warm-up's first call), as replicas and the verify pool run it.
+    let prepared = PreparedKey::new(*kp.public());
+    c.bench_function("schnorr/verify_keybook", |b| {
+        b.iter(|| prepared.verify(black_box(&msg), black_box(&sig)));
+    });
+    // Every signature received off the wire pays a decode: range checks
+    // only, since R stays compressed until verification.
     let bytes = sig.to_bytes();
     c.bench_function("schnorr/signature_decode", |b| {
         b.iter(|| Signature::from_bytes(black_box(&bytes)));
@@ -212,6 +218,10 @@ fn main() {
         })
         .collect();
     let median = |id: &str| reports.iter().find(|r| r.id == id).map(|r| r.median_ns as f64);
+    if let (Some(keybook), Some(raw)) = (median("schnorr/verify_keybook"), median("schnorr/verify"))
+    {
+        metrics.push(Metric::new("schnorr/keybook_over_raw", [("ratio", keybook / raw)]));
+    }
     for k in [4u64, 16, 32, 64] {
         if let (Some(batched), Some(serial)) = (
             median(&format!("schnorr_batch_verify/batched_{k}")),

@@ -14,8 +14,7 @@
 //! no coordination on the critical path.
 
 use crate::batch::{
-    credit_ack_context, credit_context, verify_certificate, CreditBundle, DepBatch, DepPayment,
-    DependencyCertificate,
+    credit_context, verify_certificate, CreditBundle, DepBatch, DepPayment, DependencyCertificate,
 };
 use crate::journal::{Astro2Snapshot, Astro2State, JournalSlot, WalRecord};
 use crate::ledger::{Ledger, SettleOutcome};
@@ -98,18 +97,22 @@ pub enum Astro2Msg<S> {
     Credit(CreditBundle<S>),
     /// Reconfiguration / catch-up traffic within a shard (Appendix A).
     Sync(ReconfigMsg<S>),
-    /// The destination representative's signed acknowledgment that the
-    /// CREDIT sub-batches with these [`credit_context`] digests have been
+    /// The destination representative's acknowledgment that the CREDIT
+    /// sub-batches with these [`credit_context`] digests have been
     /// certified (or were already certified — acks are idempotent). The
     /// settling replica discharges the matching retry-outbox entries.
     /// Acks accumulate per destination and ride the representative's
     /// flush tick as one message, so ack traffic scales with flush
     /// intervals rather than with sub-batch count.
+    ///
+    /// Unsigned: an ack is unicast, consumed only by the settling replica
+    /// it is addressed to, and never relayed, so the authenticated link
+    /// (paper §III) vouches for its sender — like `Sync` and
+    /// `CreditRequest`. Only ACK and CREDIT signatures need to convince a
+    /// third party.
     CreditAck {
         /// The acked sub-batch digests.
         digests: Vec<[u8; 32]>,
-        /// The representative's signature over [`credit_ack_context`].
-        sig: S,
     },
     /// A restarted (or caught-up) representative asks a settling replica
     /// to replay CREDITs its certificate store may be missing: the donor
@@ -140,10 +143,9 @@ impl<S: Wire> Wire for Astro2Msg<S> {
                 buf.push(2);
                 m.encode(buf);
             }
-            Astro2Msg::CreditAck { digests, sig } => {
+            Astro2Msg::CreditAck { digests } => {
                 buf.push(3);
                 digests.encode(buf);
-                sig.encode(buf);
             }
             Astro2Msg::CreditRequest { since } => {
                 buf.push(4);
@@ -156,7 +158,7 @@ impl<S: Wire> Wire for Astro2Msg<S> {
             0 => Ok(Astro2Msg::Brb(Wire::decode(buf)?)),
             1 => Ok(Astro2Msg::Credit(Wire::decode(buf)?)),
             2 => Ok(Astro2Msg::Sync(Wire::decode(buf)?)),
-            3 => Ok(Astro2Msg::CreditAck { digests: Wire::decode(buf)?, sig: Wire::decode(buf)? }),
+            3 => Ok(Astro2Msg::CreditAck { digests: Wire::decode(buf)? }),
             4 => Ok(Astro2Msg::CreditRequest { since: Wire::decode(buf)? }),
             _ => Err(WireError::InvalidValue("astro2 message tag")),
         }
@@ -166,7 +168,7 @@ impl<S: Wire> Wire for Astro2Msg<S> {
             Astro2Msg::Brb(m) => m.encoded_len(),
             Astro2Msg::Credit(c) => c.encoded_len(),
             Astro2Msg::Sync(m) => m.encoded_len(),
-            Astro2Msg::CreditAck { digests, sig } => digests.encoded_len() + sig.encoded_len(),
+            Astro2Msg::CreditAck { digests } => digests.encoded_len(),
             Astro2Msg::CreditRequest { since } => since.encoded_len(),
         }
     }
@@ -248,18 +250,12 @@ pub fn sig_checks(
                 sig: cb.sig,
             });
         }
-        Astro2Msg::CreditAck { digests, sig } => {
-            out.push(SigCheck {
-                signer: from,
-                context: credit_ack_context(digests).into(),
-                sig: *sig,
-            });
-        }
         // Catch-up traffic certifies by f+1 matching digests over the
         // authenticated links — nothing for the verify pool. A
         // CreditRequest carries no signature: over-replay it could induce
-        // is already harmless.
-        Astro2Msg::Sync(_) | Astro2Msg::CreditRequest { .. } => {}
+        // is already harmless. A CreditAck counts only from the
+        // destination the link authenticates.
+        Astro2Msg::Sync(_) | Astro2Msg::CreditRequest { .. } | Astro2Msg::CreditAck { .. } => {}
     }
     out
 }
@@ -425,7 +421,7 @@ pub struct AstroTwo<A: Authenticator> {
     pub(crate) outbox: BTreeMap<[u8; 32], OutboxEntry<A::Sig>>,
     /// Representative state: sub-batch digests owed to each settling
     /// replica as acknowledgments, batched per destination and emitted
-    /// as one signed [`Astro2Msg::CreditAck`] on the next flush tick
+    /// as one [`Astro2Msg::CreditAck`] on the next flush tick
     /// (a `BTreeMap` for deterministic emission order).
     pending_acks: BTreeMap<ReplicaId, Vec<[u8; 32]>>,
     mode: CreditMode,
@@ -534,7 +530,7 @@ impl<A: Authenticator> Protocol for AstroTwo<A> {
             }
             Astro2Msg::Credit(cb) => replica.on_credit(from, cb),
             Astro2Msg::Sync(m) => replica.on_sync(from, m),
-            Astro2Msg::CreditAck { digests, sig } => replica.on_credit_ack(from, digests, sig),
+            Astro2Msg::CreditAck { digests } => replica.on_credit_ack(from, digests),
             Astro2Msg::CreditRequest { since } => replica.on_credit_request(from, since),
         }
     }
@@ -1025,26 +1021,22 @@ impl<A: Authenticator> Replica<AstroTwo<A>> {
     }
 
     /// Handles a CREDIT acknowledgment at the settling replica: each
-    /// digest the valid ack covers discharges its outbox entry, provided
-    /// the entry was addressed to the sender.
+    /// digest the ack covers discharges its outbox entry, provided the
+    /// entry was addressed to the sender.
     fn on_credit_ack(
         &mut self,
         from: ReplicaId,
         digests: Vec<[u8; 32]>,
-        sig: A::Sig,
     ) -> ReplicaStep<Astro2Msg<A::Sig>> {
         let empty = ReplicaStep::empty();
-        // One signature covers the whole batch of digests; verify it
-        // before touching any entry — a forged or replayed ack would
-        // silently lose the beneficiary's certificate material.
-        if !self.proto.auth.verify(from, &credit_ack_context(&digests), &sig) {
-            return empty;
-        }
         let mut discharged = 0u64;
         for digest in digests {
             // Only the representative the bundle was addressed to may
-            // discharge it; unknown digests (already acked, or never
-            // ours) are skipped — acks are idempotent.
+            // discharge it — `from` is the link-authenticated sender, so
+            // no other replica, Byzantine or not, can lose the
+            // beneficiary's certificate material. Unknown digests
+            // (already acked, or never ours) are skipped — acks are
+            // idempotent.
             let Some(entry) = self.proto.outbox.get(&digest) else { continue };
             if entry.dest != from {
                 continue;
@@ -1332,12 +1324,12 @@ impl<A: Authenticator> Replica<AstroTwo<A>> {
 
     /// Notes an acknowledgment owed to settling replica `to` for the
     /// CREDIT sub-batch digest `key`. Acks accumulate per destination
-    /// and leave as one signed message on the next flush tick — ack
+    /// and leave as one message on the next flush tick — ack
     /// traffic scales with flush intervals, not with sub-batch count.
     /// Self-addressed credits discharge their outbox entry directly.
     fn note_ack(&mut self, to: ReplicaId, key: [u8; 32]) {
         if to == self.me {
-            // Signing an ack to ourselves is wasted work.
+            // Acking ourselves over the network is wasted work.
             if self.proto.outbox.remove(&key).is_some() {
                 self.journal.rec(&WalRecord::CreditAcked { digest: key });
             }
@@ -1349,13 +1341,11 @@ impl<A: Authenticator> Replica<AstroTwo<A>> {
         }
     }
 
-    /// Emits the accumulated CREDIT acknowledgments, one signed message
-    /// per owed settler (the flush tick's ack-batching duty).
+    /// Emits the accumulated CREDIT acknowledgments, one message per
+    /// owed settler (the flush tick's ack-batching duty).
     fn flush_acks(&mut self, outbound: &mut Vec<Envelope<Astro2Msg<A::Sig>>>) {
         for (to, digests) in std::mem::take(&mut self.proto.pending_acks) {
-            let sig = self.proto.auth.sign(&credit_ack_context(&digests));
-            outbound
-                .push(Envelope { to: Dest::One(to), msg: Astro2Msg::CreditAck { digests, sig } });
+            outbound.push(Envelope { to: Dest::One(to), msg: Astro2Msg::CreditAck { digests } });
         }
     }
 
@@ -1869,8 +1859,9 @@ mod tests {
         let bundle = vec![Payment::new(1u64, 0u64, 2u64, 5u64)];
         let sig = auth.sign(&credit_context(&bundle));
         let msgs: Vec<Astro2Msg<astro_types::auth::SimSig>> = vec![
-            Astro2Msg::Credit(CreditBundle { bundle, sig: sig.clone() }),
-            Astro2Msg::CreditAck { digests: vec![[7u8; 32], [9u8; 32]], sig },
+            Astro2Msg::Credit(CreditBundle { bundle, sig }),
+            Astro2Msg::CreditAck { digests: vec![[7u8; 32], [9u8; 32]] },
+            Astro2Msg::CreditAck { digests: Vec::new() },
             Astro2Msg::CreditRequest { since: 42 },
         ];
         for msg in msgs {
@@ -1948,29 +1939,22 @@ mod tests {
         c.set_filter(move |_from, to, msg| !(to == rep1 && matches!(msg, Astro2Msg::Credit(_))));
         pay(&mut c, &layout, Payment::new(0u64, 0u64, 1u64, 30u64));
         c.run_to_quiescence();
-        // Pick a settling replica with an outbox entry and forge acks.
+        // Pick a settling replica with an outbox entry. An ack carries no
+        // signature: the link authenticates its sender, and only the
+        // entry's destination may discharge it.
         let donor = (0..4).find(|&i| c.node(i).outbox_depth() == 1).unwrap();
         let digest = *c.node(donor).proto.outbox.keys().next().unwrap();
-        let auth = MacAuthenticator::new(ReplicaId(3), b"astro2".to_vec());
-        let good_ctx = credit_ack_context(&[digest]);
-        // (a) valid signature, wrong sender (not the entry's destination).
-        let sig = auth.sign(&good_ctx);
-        let step = c
-            .node_mut(donor)
-            .handle(ReplicaId(3), Astro2Msg::CreditAck { digests: vec![digest], sig });
-        assert!(step.outbound.is_empty());
-        assert_eq!(c.node(donor).outbox_depth(), 1, "misdirected ack ignored");
-        // (b) right sender, forged signature.
-        let forged = auth.sign(b"not-the-ack-context");
-        let step = c
-            .node_mut(donor)
-            .handle(rep1, Astro2Msg::CreditAck { digests: vec![digest], sig: forged });
-        assert!(step.outbound.is_empty());
-        assert_eq!(c.node(donor).outbox_depth(), 1, "forged ack ignored");
-        // (c) the genuine ack from the destination discharges it.
-        let rep_auth = MacAuthenticator::new(rep1, b"astro2".to_vec());
-        let sig = rep_auth.sign(&good_ctx);
-        c.node_mut(donor).handle(rep1, Astro2Msg::CreditAck { digests: vec![digest], sig });
+        // (a) an ack for the real digest from every replica that is not
+        // the entry's destination, alone and among other digests.
+        for other in (0..4).map(ReplicaId).filter(|&r| r != rep1) {
+            for digests in [vec![digest], vec![[0xee; 32], digest]] {
+                let step = c.node_mut(donor).handle(other, Astro2Msg::CreditAck { digests });
+                assert!(step.outbound.is_empty());
+                assert_eq!(c.node(donor).outbox_depth(), 1, "misdirected ack from {other:?}");
+            }
+        }
+        // (b) the destination's ack discharges it.
+        c.node_mut(donor).handle(rep1, Astro2Msg::CreditAck { digests: vec![digest] });
         assert_eq!(c.node(donor).outbox_depth(), 0);
     }
 

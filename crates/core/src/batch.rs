@@ -85,22 +85,6 @@ pub fn credit_context(bundle: &[Payment]) -> Vec<u8> {
     h.finalize().to_vec()
 }
 
-/// The byte string a CREDIT acknowledgment signature covers: the acked
-/// sub-batch digests under their own domain separator (so an ack can
-/// never be replayed as a CREDIT proof or vice versa). One ack covers
-/// every digest the representative owes a given settler — acks are
-/// batched per destination on the flush tick, so ack traffic scales
-/// with flush intervals rather than with sub-batch count.
-pub fn credit_ack_context(digests: &[[u8; 32]]) -> Vec<u8> {
-    let mut h = astro_crypto::sha256::Sha256::new();
-    h.update(b"astro-credit-ack-v2");
-    h.update(&(digests.len() as u64).to_be_bytes());
-    for d in digests {
-        h.update(d);
-    }
-    h.finalize().to_vec()
-}
-
 /// Verifies a dependency certificate against the settling shard's group.
 ///
 /// Checks that at least `f+1` *distinct members of `settling_group`* signed

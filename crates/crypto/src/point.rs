@@ -326,9 +326,11 @@ impl Jacobian {
 const WNAF_WIDTH: u32 = 4;
 /// Odd multiples stored per arbitrary base: 1P, 3P, …, 15P (width 4).
 const WNAF_TABLE_LEN: usize = 1 << (WNAF_WIDTH - 1);
-/// Wider window for the generator — its table is built once per process.
-const G_WNAF_WIDTH: u32 = 7;
-const G_WNAF_TABLE_LEN: usize = 1 << (G_WNAF_WIDTH - 1);
+/// Wider window for bases whose table is built once and kept
+/// ([`WnafTable`]): the generator, and replica keys that verify again and
+/// again.
+const FIXED_WNAF_WIDTH: u32 = 7;
+const FIXED_WNAF_TABLE_LEN: usize = 1 << (FIXED_WNAF_WIDTH - 1);
 
 fn limbs_is_zero(v: &[u64; 4]) -> bool {
     v.iter().all(|&x| x == 0)
@@ -450,59 +452,101 @@ fn add_digit(acc: Jacobian, d: i8, table: &[Affine]) -> Jacobian {
     }
 }
 
-/// The generator's wNAF odd-multiple tables, for G and for its λ-image,
-/// built once per process.
-fn generator_wnaf_tables() -> &'static [Vec<Affine>; 2] {
-    static TABLES: OnceLock<[Vec<Affine>; 2]> = OnceLock::new();
-    TABLES.get_or_init(|| {
-        let g = to_affine_batch(&odd_multiples(&GENERATOR, G_WNAF_TABLE_LEN));
-        let lambda_g = g.iter().map(Affine::lambda_image).collect();
-        [g, lambda_g]
-    })
+/// The width-7 wNAF odd multiples `P, 3P, …, 127P` of one base and their
+/// λ-images, in affine form. A base multiplied again and again keeps one
+/// of these instead of paying the per-call 4-bit table (7 additions and a
+/// field inversion) on every multiplication, and its wider window cuts
+/// the additions of each scalar by about a third. Building one costs 63
+/// additions, one inversion and 64 field multiplications.
+pub struct WnafTable {
+    multiples: Vec<Affine>,
+    lambda: Vec<Affine>,
+}
+
+impl WnafTable {
+    /// Builds the table of `p`.
+    pub fn new(p: &Affine) -> WnafTable {
+        let multiples = to_affine_batch(&odd_multiples(p, FIXED_WNAF_TABLE_LEN));
+        let lambda = multiples.iter().map(Affine::lambda_image).collect();
+        WnafTable { multiples, lambda }
+    }
+}
+
+impl core::fmt::Debug for WnafTable {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(f, "WnafTable({:?})", self.multiples.first())
+    }
+}
+
+/// The generator's [`WnafTable`], built once per process.
+fn generator_wnaf_table() -> &'static WnafTable {
+    static TABLE: OnceLock<WnafTable> = OnceLock::new();
+    TABLE.get_or_init(|| WnafTable::new(&GENERATOR))
+}
+
+/// The base of one [`multi_scalar_mul_bases`] term.
+#[derive(Debug, Clone, Copy)]
+pub enum Base<'a> {
+    /// A point; it gets a per-call 4-bit table (the generator uses its
+    /// cached [`WnafTable`]).
+    Point(Affine),
+    /// A point whose table the caller keeps.
+    Table(&'a WnafTable),
 }
 
 /// The odd-multiple table one wNAF lane adds from.
 #[derive(Clone, Copy)]
-enum Table {
-    /// The cached generator table.
-    Generator,
-    /// The cached table of λ·G.
-    LambdaGenerator,
-    /// The per-call table of the `j`-th non-generator base.
+enum Table<'a> {
+    /// A kept table (the generator's, a caller's, or their λ-images).
+    Fixed(&'a [Affine]),
+    /// The per-call table of the `j`-th point base.
     Base(usize),
-    /// The λ-image of the `j`-th non-generator base's table.
+    /// The λ-image of the `j`-th point base's table.
     LambdaBase(usize),
 }
 
 /// Multi-scalar multiplication `Σ kᵢ·Pᵢ` with shared doublings (windowed
 /// Straus/wNAF over GLV-split scalars), returned in Jacobian form so a
-/// caller that only compares the result pays no inversion.
+/// caller that only compares the result pays no inversion. See
+/// [`multi_scalar_mul_bases`].
+pub fn multi_scalar_mul(terms: &[(Scalar, Affine)]) -> Jacobian {
+    let terms: Vec<(Scalar, Base<'_>)> = terms.iter().map(|(k, p)| (*k, Base::Point(*p))).collect();
+    multi_scalar_mul_bases(&terms)
+}
+
+/// Multi-scalar multiplication `Σ kᵢ·Bᵢ` over points and kept tables.
 ///
 /// Every scalar wider than 128 bits is split into `±k1 ± k2·λ` with both
 /// halves below 2^128 ([`Scalar::split_glv`]), and `k2` runs against the
 /// λ-image of the base's table. The one doubling chain then has ~129
 /// steps instead of ~257. Scalars already at most 128 bits wide (batch
 /// weights) are not split: splitting would double their additions and
-/// shorten nothing. Generator terms use process-wide 7-bit tables; the
-/// per-call 4-bit tables of the remaining terms are normalized to affine
-/// with a single shared field inversion. This is what makes Schnorr
-/// batch verification cheaper per signature than one-by-one
-/// verification.
-pub fn multi_scalar_mul(terms: &[(Scalar, Affine)]) -> Jacobian {
+/// shorten nothing. The generator and [`Base::Table`] terms use 7-bit
+/// kept tables; the per-call 4-bit tables of the remaining points are
+/// normalized to affine with a single shared field inversion. This is
+/// what makes Schnorr batch verification cheaper per signature than
+/// one-by-one verification.
+pub fn multi_scalar_mul_bases<'a>(terms: &[(Scalar, Base<'a>)]) -> Jacobian {
     // Each lane is the wNAF digits of one scalar (or GLV half), signed
     // as the half is, against one table.
-    let mut lanes: Vec<(Vec<i8>, Table)> = Vec::with_capacity(2 * terms.len());
+    let mut lanes: Vec<(Vec<i8>, Table<'a>)> = Vec::with_capacity(2 * terms.len());
     let mut bases: Vec<Affine> = Vec::new();
-    for (k, p) in terms {
-        if p.is_infinity() || k.is_zero() {
+    fn fixed(t: &WnafTable) -> (u32, Table<'_>, Table<'_>) {
+        (FIXED_WNAF_WIDTH, Table::Fixed(&t.multiples), Table::Fixed(&t.lambda))
+    }
+    for (k, base) in terms {
+        if k.is_zero() {
             continue;
         }
-        let (width, table, lambda_table) = if *p == GENERATOR {
-            (G_WNAF_WIDTH, Table::Generator, Table::LambdaGenerator)
-        } else {
-            bases.push(*p);
-            let j = bases.len() - 1;
-            (WNAF_WIDTH, Table::Base(j), Table::LambdaBase(j))
+        let (width, table, lambda_table) = match base {
+            Base::Point(p) if p.is_infinity() => continue,
+            Base::Point(p) if *p == GENERATOR => fixed(generator_wnaf_table()),
+            Base::Point(p) => {
+                bases.push(*p);
+                let j = bases.len() - 1;
+                (WNAF_WIDTH, Table::Base(j), Table::LambdaBase(j))
+            }
+            Base::Table(t) => fixed(t),
         };
         if k.is_half_width() {
             lanes.push((wnaf_digits(k, width), table));
@@ -525,17 +569,19 @@ pub fn multi_scalar_mul(terms: &[(Scalar, Affine)]) -> Jacobian {
     }
     let tables = to_affine_batch(&jac_tables);
     let lambda_tables: Vec<Affine> = tables.iter().map(Affine::lambda_image).collect();
-    let g_tables = generator_wnaf_tables();
-    let resolve = |table: Table| -> &[Affine] {
-        match table {
-            Table::Generator => &g_tables[0],
-            Table::LambdaGenerator => &g_tables[1],
-            Table::Base(j) => &tables[j * WNAF_TABLE_LEN..(j + 1) * WNAF_TABLE_LEN],
-            Table::LambdaBase(j) => &lambda_tables[j * WNAF_TABLE_LEN..(j + 1) * WNAF_TABLE_LEN],
-        }
-    };
-    let lanes: Vec<(&[i8], &[Affine])> =
-        lanes.iter().map(|(digits, table)| (digits.as_slice(), resolve(*table))).collect();
+    let lanes: Vec<(&[i8], &[Affine])> = lanes
+        .iter()
+        .map(|(digits, table)| {
+            let table = match *table {
+                Table::Fixed(t) => t,
+                Table::Base(j) => &tables[j * WNAF_TABLE_LEN..(j + 1) * WNAF_TABLE_LEN],
+                Table::LambdaBase(j) => {
+                    &lambda_tables[j * WNAF_TABLE_LEN..(j + 1) * WNAF_TABLE_LEN]
+                }
+            };
+            (digits.as_slice(), table)
+        })
+        .collect();
 
     let longest = lanes.iter().map(|(digits, _)| digits.len()).max().unwrap_or(0);
     let mut acc = Jacobian::infinity();

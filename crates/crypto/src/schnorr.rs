@@ -27,9 +27,11 @@
 //! assert!(!keypair.public().verify(b"pay bob 6", &sig));
 //! ```
 
-use crate::point::{multi_scalar_mul, Affine, COMPRESSED_LEN};
+use crate::field::Fe;
+use crate::point::{multi_scalar_mul_bases, Affine, Base, WnafTable, COMPRESSED_LEN};
 use crate::scalar::Scalar;
 use crate::sha256::{sha256_concat, Sha256};
+use std::sync::OnceLock;
 
 /// Length of a serialized signature: compressed R (33) + s (32).
 pub const SIGNATURE_LEN: usize = COMPRESSED_LEN + 32;
@@ -75,10 +77,18 @@ pub struct PublicKey {
     point: Affine,
 }
 
-/// A Schnorr signature `(R, s)`.
+/// A Schnorr signature `(R, s)`, with s in `1..n` (signing and decoding
+/// both guarantee it).
+///
+/// R stays in its 33-byte compressed form: the challenge, the encoding
+/// and every cache key hash those bytes, so only verification needs the
+/// point, and it decompresses R there (one field square root). Decoding
+/// checks the cheap parts of the encoding — an `02`/`03` prefix, x < p,
+/// and 0 < s < n — and a signature whose R is not on the curve simply
+/// fails to verify.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Signature {
-    r: Affine,
+    r: [u8; COMPRESSED_LEN],
     s: Scalar,
 }
 
@@ -153,10 +163,11 @@ impl SecretKey {
             if k.is_zero() {
                 continue;
             }
-            let r = crate::point::mul_generator(&k);
-            if r.is_infinity() {
+            let r_point = crate::point::mul_generator(&k);
+            if r_point.is_infinity() {
                 continue;
             }
+            let r = r_point.to_compressed();
             let e = challenge(&r, pk, message);
             let s = k.add(&e.mul(&self.scalar));
             if s.is_zero() {
@@ -168,15 +179,23 @@ impl SecretKey {
 }
 
 impl PublicKey {
-    /// Verifies `signature` over `message`.
+    /// Verifies `signature` over `message`. The reference check: it
+    /// builds a per-call table for this key, where a [`PreparedKey`] keeps
+    /// one.
     pub fn verify(&self, message: &[u8], signature: &Signature) -> bool {
-        if signature.r.is_infinity() || signature.s.is_zero() {
-            return false;
-        }
+        self.verify_against(Base::Point(self.point), message, signature)
+    }
+
+    /// Verifies `signature` with `base` standing for this key's point.
+    fn verify_against(&self, base: Base<'_>, message: &[u8], signature: &Signature) -> bool {
+        let Some(r) = signature.r_point() else { return false };
         let e = challenge(&signature.r, self, message);
         // s·G == R + e·P  ⇔  s·G + (−e)·P == R, compared projectively.
-        let lhs = multi_scalar_mul(&[(signature.s, Affine::generator()), (e.neg(), self.point)]);
-        lhs.eq_affine(&signature.r)
+        let lhs = multi_scalar_mul_bases(&[
+            (signature.s, Base::Point(Affine::generator())),
+            (e.neg(), base),
+        ]);
+        lhs.eq_affine(&r)
     }
 
     /// Serializes to the 33-byte compressed form.
@@ -203,21 +222,100 @@ impl Signature {
     /// Serializes to 65 bytes: compressed R then s.
     pub fn to_bytes(&self) -> [u8; SIGNATURE_LEN] {
         let mut out = [0u8; SIGNATURE_LEN];
-        out[..COMPRESSED_LEN].copy_from_slice(&self.r.to_compressed());
+        out[..COMPRESSED_LEN].copy_from_slice(&self.r);
         out[COMPRESSED_LEN..].copy_from_slice(&self.s.to_be_bytes());
         out
     }
 
-    /// Parses a 65-byte encoding.
+    /// Parses a 65-byte encoding: R's prefix must be `02`/`03` and its x
+    /// below p, and s must lie in `1..n`. Whether R is on the curve is
+    /// left to verification, which is the only consumer of the point.
     pub fn from_bytes(bytes: &[u8; SIGNATURE_LEN]) -> Result<Self, KeyError> {
-        let r_bytes: [u8; COMPRESSED_LEN] = bytes[..COMPRESSED_LEN].try_into().unwrap();
-        let r = Affine::from_compressed(&r_bytes).ok_or(KeyError::InvalidEncoding)?;
-        if r.is_infinity() {
+        let r: [u8; COMPRESSED_LEN] = bytes[..COMPRESSED_LEN].try_into().unwrap();
+        let x_bytes: &[u8; 32] = r[1..].try_into().unwrap();
+        if !matches!(r[0], 0x02 | 0x03) || Fe::from_be_bytes(x_bytes).is_none() {
             return Err(KeyError::InvalidEncoding);
         }
         let s_bytes: [u8; 32] = bytes[COMPRESSED_LEN..].try_into().unwrap();
-        let s = Scalar::from_be_bytes_checked(&s_bytes).ok_or(KeyError::InvalidEncoding)?;
+        let s = Scalar::from_be_bytes_checked(&s_bytes)
+            .filter(|s| !s.is_zero())
+            .ok_or(KeyError::InvalidEncoding)?;
         Ok(Signature { r, s })
+    }
+
+    /// Decompresses R; `None` if it is not a curve point.
+    fn r_point(&self) -> Option<Affine> {
+        Affine::from_compressed(&self.r).filter(|r| !r.is_infinity())
+    }
+}
+
+/// A public key that keeps its 7-bit wNAF table ([`WnafTable`], with the
+/// λ-image) once its first verification has built it. Construction does
+/// no curve work. Every later verification and batch term of this key
+/// skips the per-call table and adds about a third fewer points; the
+/// verdicts are exactly [`PublicKey::verify`]'s.
+pub struct PreparedKey {
+    key: PublicKey,
+    table: OnceLock<WnafTable>,
+}
+
+impl PreparedKey {
+    /// Wraps `key`; the table is built on first use.
+    pub fn new(key: PublicKey) -> Self {
+        PreparedKey { key, table: OnceLock::new() }
+    }
+
+    /// The wrapped public key.
+    pub fn public(&self) -> &PublicKey {
+        &self.key
+    }
+
+    /// Whether the table has been built (by a first verification).
+    pub fn has_table(&self) -> bool {
+        self.table.get().is_some()
+    }
+
+    /// Verifies `signature` over `message` against the kept table.
+    pub fn verify(&self, message: &[u8], signature: &Signature) -> bool {
+        self.key.verify_against(self.base(), message, signature)
+    }
+
+    fn base(&self) -> Base<'_> {
+        Base::Table(self.table.get_or_init(|| WnafTable::new(&self.key.point)))
+    }
+}
+
+impl core::fmt::Debug for PreparedKey {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("PreparedKey")
+            .field("key", &self.key)
+            .field("has_table", &self.has_table())
+            .finish()
+    }
+}
+
+/// What a batch check needs of a signer: its key, and the base standing
+/// for the key's point in the multi-scalar multiplication.
+trait SignerKey {
+    fn key(&self) -> &PublicKey;
+    fn base(&self) -> Base<'_>;
+}
+
+impl SignerKey for PublicKey {
+    fn key(&self) -> &PublicKey {
+        self
+    }
+    fn base(&self) -> Base<'_> {
+        Base::Point(self.point)
+    }
+}
+
+impl SignerKey for &PreparedKey {
+    fn key(&self) -> &PublicKey {
+        &self.key
+    }
+    fn base(&self) -> Base<'_> {
+        PreparedKey::base(self)
     }
 }
 
@@ -274,32 +372,42 @@ impl Keypair {
 /// randomness).
 ///
 /// Returns `true` iff the combined check passes; a `false` means at least
-/// one signature is invalid (fall back to one-by-one to locate it).
+/// one signature is invalid (fall back to one-by-one to locate it). An R
+/// that does not decompress fails the batch.
 pub fn batch_verify(items: &[(&[u8], PublicKey, Signature)]) -> bool {
+    batch_check(items)
+}
+
+/// [`batch_verify`] over [`PreparedKey`]s: the same verdict, with every
+/// key term on its kept table.
+pub fn batch_verify_prepared(items: &[(&[u8], &PreparedKey, Signature)]) -> bool {
+    batch_check(items)
+}
+
+fn batch_check<K: SignerKey>(items: &[(&[u8], K, Signature)]) -> bool {
     if items.is_empty() {
         return true;
     }
     if items.len() == 1 {
         let (msg, pk, sig) = &items[0];
-        return pk.verify(msg, sig);
+        return pk.key().verify_against(pk.base(), msg, sig);
     }
     // Weight seed binds every signature in the batch.
     let mut h = Sha256::new();
     h.update(b"astro-schnorr-batch-v1");
     for (msg, pk, sig) in items {
-        h.update(&pk.to_bytes());
+        h.update(&pk.key().to_bytes());
         h.update(&sig.to_bytes());
         h.update(&(msg.len() as u64).to_be_bytes());
         h.update(msg);
     }
     let seed = h.finalize();
 
+    // (Σ zᵢ sᵢ)·G − Σ zᵢ·Rᵢ − Σ zᵢeᵢ·Pᵢ == ∞
     let mut s_combined = Scalar::ZERO;
-    let mut terms: Vec<(Scalar, Affine)> = Vec::with_capacity(2 * items.len());
+    let mut terms: Vec<(Scalar, Base<'_>)> = Vec::with_capacity(2 * items.len() + 1);
     for (i, (msg, pk, sig)) in items.iter().enumerate() {
-        if sig.r.is_infinity() || sig.s.is_zero() {
-            return false;
-        }
+        let Some(r) = sig.r_point() else { return false };
         // 128-bit weights suffice (forgery survives the random linear
         // combination with probability 2⁻¹²⁸) and halve the wNAF digit
         // count of every zᵢ·Rᵢ term in the multi-scalar multiplication.
@@ -309,17 +417,16 @@ pub fn batch_verify(items: &[(&[u8], PublicKey, Signature)]) -> bool {
         );
         let z = Scalar::from_be_bytes_reduced(&z_bytes);
         let z = if z.is_zero() { Scalar::ONE } else { z };
-        let e = challenge(&sig.r, pk, msg);
+        let e = challenge(&sig.r, pk.key(), msg);
         s_combined = s_combined.add(&z.mul(&sig.s));
-        terms.push((z, sig.r));
-        terms.push((z.mul(&e), *pk.point()));
+        // The R term negates its point, keeping the weight half-width;
+        // the key term negates its (full-width) scalar, so a kept table
+        // serves it as is.
+        terms.push((z, Base::Point(r.neg())));
+        terms.push((z.mul(&e).neg(), pk.base()));
     }
-    // (Σ zᵢ sᵢ)·G − Σ zᵢ·Rᵢ − Σ zᵢeᵢ·Pᵢ == ∞
-    let mut all_terms = vec![(s_combined, Affine::generator())];
-    for (k, p) in terms {
-        all_terms.push((k, p.neg()));
-    }
-    crate::point::multi_scalar_mul(&all_terms).is_infinity()
+    terms.push((s_combined, Base::Point(Affine::generator())));
+    multi_scalar_mul_bases(&terms).is_infinity()
 }
 
 /// Locates the invalid signatures of a batch by bisection: recursively
@@ -332,8 +439,17 @@ pub fn batch_verify(items: &[(&[u8], PublicKey, Signature)]) -> bool {
 /// told you *something* is forged, this tells you *what*, and the caller
 /// can keep the honest majority of the batch.
 pub fn find_invalid(items: &[(&[u8], PublicKey, Signature)]) -> Vec<usize> {
-    fn descend(items: &[(&[u8], PublicKey, Signature)], offset: usize, out: &mut Vec<usize>) {
-        if items.is_empty() || batch_verify(items) {
+    bisect(items)
+}
+
+/// [`find_invalid`] over [`PreparedKey`]s.
+pub fn find_invalid_prepared(items: &[(&[u8], &PreparedKey, Signature)]) -> Vec<usize> {
+    bisect(items)
+}
+
+fn bisect<K: SignerKey>(items: &[(&[u8], K, Signature)]) -> Vec<usize> {
+    fn descend<K: SignerKey>(items: &[(&[u8], K, Signature)], offset: usize, out: &mut Vec<usize>) {
+        if items.is_empty() || batch_check(items) {
             return;
         }
         if items.len() == 1 {
@@ -371,14 +487,10 @@ fn derive_nonce(secret: &Scalar, message: &[u8], counter: u32) -> Scalar {
     Scalar::from_wide_be_bytes(&wide)
 }
 
-/// The Fiat–Shamir challenge `e = H(R ‖ P ‖ m)` reduced mod n.
-fn challenge(r: &Affine, pk: &PublicKey, message: &[u8]) -> Scalar {
-    let digest = sha256_concat(&[
-        b"astro-schnorr-challenge-v1",
-        &r.to_compressed(),
-        &pk.to_bytes(),
-        message,
-    ]);
+/// The Fiat–Shamir challenge `e = H(R ‖ P ‖ m)` reduced mod n, over R's
+/// compressed bytes.
+fn challenge(r: &[u8; COMPRESSED_LEN], pk: &PublicKey, message: &[u8]) -> Scalar {
+    let digest = sha256_concat(&[b"astro-schnorr-challenge-v1", r, &pk.to_bytes(), message]);
     Scalar::from_be_bytes_reduced(&digest)
 }
 

@@ -23,7 +23,7 @@ use astro_obs::{Counter, FlightRecorder, Histogram, Registry};
 use astro_types::wire::{peek_frame_len, put_frame, Wire, MAX_FRAME_LEN};
 use astro_types::{Keychain, ReplicaId};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -149,15 +149,19 @@ struct LinkWriter {
 
 /// Per-peer link state. `generation` lets a stale reader thread detect
 /// that the link it was serving has already been replaced;
-/// `next_dial_at` rate-limits dialer-side reconnection attempts.
+/// `next_dial_at` rate-limits dialer-side reconnection attempts;
+/// `dialing` marks the one dial to this peer that may be in flight.
 struct LinkState {
     writer: Option<LinkWriter>,
     generation: u64,
     next_dial_at: Option<Instant>,
+    dialing: bool,
 }
 
 struct LinkSlot {
     state: Mutex<LinkState>,
+    /// Signalled when an in-flight dial finishes.
+    dial_done: Condvar,
 }
 
 struct Shared {
@@ -208,6 +212,44 @@ impl Shared {
         std::thread::spawn(move || {
             reader_main(&shared, peer, generation, read_stream, rx, &inbox);
         });
+    }
+
+    /// Dials `peer` (this endpoint is its dialer) and installs the
+    /// connection, unless the link is up. With `paced`, a dial inside the
+    /// redial cooldown is skipped, and the attempt starts a new cooldown.
+    /// Returns `None` when no dial ran.
+    ///
+    /// Only one dial per link is ever in flight: it is marked under the
+    /// link lock before the connect, and a caller that finds one running
+    /// waits for it and then re-checks the link. Two concurrent dials to
+    /// one peer would each install their connection, the second shutting
+    /// the first; the acceptor runs one handshake thread per connection
+    /// and may install them in the opposite order, keeping the socket the
+    /// dialer shut, and as acceptor it never re-dials.
+    fn redial(self: &Arc<Self>, peer: ReplicaId, paced: bool) -> Option<Result<(), NetError>> {
+        let slot = &self.links[peer.0 as usize];
+        {
+            let mut state = slot.state.lock();
+            while state.dialing {
+                slot.dial_done.wait(&mut state);
+            }
+            let cooling = paced && state.next_dial_at.is_some_and(|at| Instant::now() < at);
+            if state.writer.is_some() || cooling {
+                return None;
+            }
+            state.dialing = true;
+        }
+        let attempt =
+            dial(self, peer).map(|(writer, rx)| self.install_link(self, peer, writer, rx));
+        let mut state = slot.state.lock();
+        if paced {
+            // Space attempts from *completion*: a connect timeout against
+            // a blackholed peer must not make every later send redial.
+            state.next_dial_at = Some(Instant::now() + REDIAL_COOLDOWN);
+        }
+        state.dialing = false;
+        slot.dial_done.notify_all();
+        Some(attempt)
     }
 
     /// Clears the link if `generation` still names the active connection.
@@ -380,20 +422,11 @@ fn maintenance_main(shared: Arc<Shared>) {
             if !shared.is_dialer_for(peer) || shared.peer_addrs[i].is_none() {
                 continue;
             }
-            {
-                let state = shared.links[i].state.lock();
-                if state.writer.is_some()
-                    || state.next_dial_at.is_some_and(|at| Instant::now() < at)
-                {
-                    continue;
-                }
-            }
-            let attempt = dial(&shared, peer);
-            shared.links[i].state.lock().next_dial_at = Some(Instant::now() + REDIAL_COOLDOWN);
+            let Some(attempt) = shared.redial(peer, true) else { continue };
             if let Some(m) = shared.metrics.get() {
                 m.redials.inc();
                 match &attempt {
-                    Ok(_) => m.flight.event("net.redial.ok", peer.0 as u64, 0),
+                    Ok(()) => m.flight.event("net.redial.ok", peer.0 as u64, 0),
                     Err(e) => {
                         if matches!(e, NetError::Handshake { .. }) {
                             m.handshake_failures.inc();
@@ -401,9 +434,6 @@ fn maintenance_main(shared: Arc<Shared>) {
                         m.flight.event("net.redial.err", peer.0 as u64, 0);
                     }
                 }
-            }
-            if let Ok((writer, rx)) = attempt {
-                shared.install_link(&shared, peer, writer, rx);
             }
             if shared.shutdown.load(Ordering::Relaxed) {
                 break;
@@ -518,7 +548,9 @@ impl TcpEndpoint {
                         writer: None,
                         generation: 0,
                         next_dial_at: None,
+                        dialing: false,
                     }),
+                    dial_done: Condvar::new(),
                 })
                 .collect(),
             inbox_tx: Mutex::new(inbox_tx),
@@ -545,13 +577,13 @@ impl TcpEndpoint {
             }
             let mut last = None;
             for _ in 0..40 {
-                match dial(&shared, peer) {
-                    Ok((writer, rx)) => {
-                        shared.install_link(&shared, peer, writer, rx);
+                match shared.redial(peer, false) {
+                    // Up: this dial, or the maintenance pass's, got there.
+                    Some(Ok(())) | None => {
                         last = None;
                         break;
                     }
-                    Err(e) => {
+                    Some(Err(e)) => {
                         last = Some(e);
                         std::thread::sleep(REDIAL_BACKOFF);
                     }
@@ -708,29 +740,19 @@ impl Endpoint for TcpEndpoint {
         // at most one cooldown-gated reconnection attempt; the acceptor
         // side reports down and relies on the peer to re-dial.
         if self.shared.is_dialer_for(to) {
-            {
-                let state = self.shared.links[to.0 as usize].state.lock();
-                if state.next_dial_at.is_some_and(|at| Instant::now() < at) {
-                    return Err(NetError::LinkDown(to));
+            // `None`: inside the cooldown, or a dial in flight (the
+            // maintenance pass's) brought the link up while we waited.
+            if let Some(attempt) = self.shared.redial(to, true) {
+                if let Some(m) = self.shared.metrics.get() {
+                    m.redials.inc();
+                    if matches!(&attempt, Err(NetError::Handshake { .. })) {
+                        m.handshake_failures.inc();
+                    }
+                    m.flight.event("net.send.redial", to.0 as u64, attempt.is_ok() as u64);
                 }
             }
-            let attempt = dial(&self.shared, to);
-            // Space attempts from *completion*: a connect timeout against a
-            // blackholed peer must not make every subsequent send redial.
-            self.shared.links[to.0 as usize].state.lock().next_dial_at =
-                Some(Instant::now() + REDIAL_COOLDOWN);
-            if let Some(m) = self.shared.metrics.get() {
-                m.redials.inc();
-                if matches!(&attempt, Err(NetError::Handshake { .. })) {
-                    m.handshake_failures.inc();
-                }
-                m.flight.event("net.send.redial", to.0 as u64, attempt.is_ok() as u64);
-            }
-            if let Ok((writer, rx)) = attempt {
-                self.shared.install_link(&self.shared, to, writer, rx);
-                if self.try_send(to, payload)? {
-                    return Ok(());
-                }
+            if self.try_send(to, payload)? {
+                return Ok(());
             }
         }
         Err(NetError::LinkDown(to))

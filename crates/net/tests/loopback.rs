@@ -102,6 +102,33 @@ fn severed_links_reconnect_and_traffic_resumes() {
 }
 
 #[test]
+fn redials_racing_the_maintenance_pass_leave_both_ends_up() {
+    // A send-path redial and a maintenance-pass redial to one peer must
+    // never both be in flight: the acceptor handshakes each connection on
+    // its own thread and may install them in the opposite order, keeping
+    // the socket the dialer shut — and as acceptor it never re-dials.
+    // Sever the dialer's links at varying phases of the maintenance
+    // period so the two redials meet, and check both directions.
+    let mut eps = mesh(b"tcp-redial-race", 4);
+    for round in 0..12u64 {
+        // Past the previous round's redial cooldown.
+        std::thread::sleep(Duration::from_millis(300));
+        eps[0].debug_sever_links();
+        std::thread::sleep(Duration::from_millis(35 + round % 6 * 5));
+        eps[0].broadcast(&round.to_be_bytes()).unwrap();
+        for ep in &mut eps {
+            let (from, bytes) = ep.recv_timeout(RECV).unwrap().expect("redial restores delivery");
+            assert_eq!((from, &bytes[..]), (ReplicaId(0), &round.to_be_bytes()[..]));
+        }
+        for i in 1..4 {
+            eps[i].send(ReplicaId(0), &round.to_be_bytes()).unwrap();
+            let (from, _) = eps[0].recv_timeout(RECV).unwrap().expect("reverse delivery");
+            assert_eq!(from, ReplicaId(i as u32), "round {round}");
+        }
+    }
+}
+
+#[test]
 fn quiet_mesh_heals_without_traffic_toward_the_dead_peer() {
     // The catch-up scenario: the highest-id replica's endpoint dies and a
     // replacement rebinds the same address. The mesh convention is

@@ -425,7 +425,8 @@ mod tests {
         }
         assert_eq!(cluster.wait_settled(8, Duration::from_secs(10)).len(), 8);
         cluster.shutdown();
-        let (_s, recovered) = Storage::open(replica_dir(&dir, 0), store_cfg.clone()).unwrap();
+        // Dropped at once: the store locks its directory while live.
+        let (_, recovered) = Storage::open(replica_dir(&dir, 0), store_cfg.clone()).unwrap();
         assert!(recovered.snapshot.is_some(), "threshold crossed: snapshot installed");
         // And the recovered state resumes, not restarts, the ledger.
         let layout = ShardLayout::single(4).unwrap();

@@ -698,6 +698,23 @@ impl DriverObs {
 /// single super-batch).
 type Parked<M> = (ReplicaId, M, Option<verify::Ticket>);
 
+/// Submits a decoded burst's signature checks as one job and parks its
+/// messages behind the job's ticket, after everything already parked.
+/// Checks with a cached verdict never reach a worker
+/// ([`VerifyPool::submit`]); when that leaves none, the messages park
+/// with no ticket, and the next [`drain_verified`] handles them as soon
+/// as everything ahead of them is handled.
+fn park_burst<M>(
+    pool: &VerifyPool,
+    checks: Vec<astro_types::SigCheck>,
+    burst: Vec<(ReplicaId, M)>,
+    pending: &mut VecDeque<Parked<M>>,
+) {
+    let ticket = pool.submit(checks);
+    let ticket = (!ticket.is_done()).then_some(ticket);
+    pending.extend(burst.into_iter().map(|(from, msg)| (from, msg, ticket.clone())));
+}
+
 /// Handles every parked message whose verification has completed, in
 /// arrival order; stops at the first still-running ticket (or drains
 /// everything when `block` is set). Must run inside a cork window.
@@ -844,13 +861,10 @@ fn replica_main<N: RuntimeNode, E: Endpoint>(
                             _ => break,
                         }
                     }
-                    let ticket = (!checks.is_empty()).then(|| pool.submit(checks));
                     if let Some(o) = obs {
                         o.burst_msgs.record(burst.len() as u64);
                     }
-                    for (from, msg) in burst {
-                        pending.push_back((from, msg, ticket.clone()));
-                    }
+                    park_burst(pool, checks, burst, &mut pending);
                     drain_verified(node, &mut pending, &mut endpoint, settled, me, false, obs);
                     // Under sustained overload, bound the parked backlog by
                     // waiting for the oldest super-batch.
@@ -1082,5 +1096,40 @@ mod tests {
             assert_eq!(balances[&ClientId(1)], Amount(450));
             assert_eq!(balances[&ClientId(2)], Amount(550));
         }
+    }
+
+    #[test]
+    fn fully_cached_bursts_queue_no_job_and_keep_arrival_order() {
+        use astro_types::SigCheck;
+        let chains = Keychain::deterministic_system(b"cached-burst", 4);
+        let pool = VerifyPool::start(1, chains[0].book().clone());
+        let registry = Registry::new();
+        pool.attach_registry(&registry);
+        let jobs = || registry.snapshot().histogram("verify.batch_checks").map_or(0, |h| h.count);
+        let context: Arc<[u8]> = b"ack context".to_vec().into();
+        let checks: Vec<SigCheck> = chains
+            .iter()
+            .map(|kc| SigCheck {
+                signer: kc.id(),
+                context: Arc::clone(&context),
+                sig: kc.sign(&context),
+            })
+            .collect();
+        let mut pending: VecDeque<Parked<&str>> = VecDeque::new();
+        // The first burst carrying these signatures queues a job.
+        park_burst(&pool, checks.clone(), vec![(ReplicaId(1), "first")], &mut pending);
+        assert_eq!(jobs(), 1);
+        if let Some(ticket) = pending.pop_front().and_then(|(_, _, ticket)| ticket) {
+            ticket.wait();
+        }
+        // A message still waiting on an earlier job stays ahead of a
+        // later burst whose verdicts are all known; that burst queues no
+        // job and parks with no ticket.
+        pending.push_back((ReplicaId(1), "earlier", Some(Ticket::new())));
+        park_burst(&pool, checks, vec![(ReplicaId(2), "a"), (ReplicaId(3), "b")], &mut pending);
+        assert_eq!(jobs(), 1, "known verdicts queue no job");
+        let order: Vec<&str> = pending.iter().map(|(_, msg, _)| *msg).collect();
+        assert_eq!(order, ["earlier", "a", "b"]);
+        assert!(pending.iter().skip(1).all(|(_, _, ticket)| ticket.is_none()));
     }
 }

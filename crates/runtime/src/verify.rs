@@ -12,17 +12,22 @@
 //! failure.
 //!
 //! Verdicts land in a shared [`VerdictCache`] keyed by the digest of
-//! `(signer, context, signature)`; the replica's
-//! [`astro_types::SchnorrAuthenticator`] consults the cache before any
-//! curve work, so by the time a message is handled its signatures cost a
-//! hash lookup. The event loop keeps draining transport while workers
-//! verify — curve arithmetic overlaps I/O and scales with cores — and
-//! messages re-enter the replica step strictly in arrival order
-//! ([`Ticket`] completion gates the pending queue), so settlement is
-//! byte-identical to the serial path: verification is a pure function of
-//! the checked bytes, only *where* it runs changes.
+//! `(signer, context, signature)`. The cache is consulted first at submit
+//! time: [`VerifyPool::submit`] drops every check whose verdict is
+//! already known, and a burst left with none queues no job and wakes no
+//! worker, so its messages are handled in the same loop iteration. The
+//! replica's [`astro_types::SchnorrAuthenticator`] consults the cache
+//! again before any curve work, so by the time a message is handled its
+//! signatures cost a hash lookup. Workers verify against the key book's
+//! kept per-signer tables ([`KeyBook::prepared_of`]). The event loop
+//! keeps draining transport while workers verify — curve arithmetic
+//! overlaps I/O and scales with cores — and messages re-enter the
+//! replica step strictly in arrival order ([`Ticket`] completion gates
+//! the pending queue), so settlement is byte-identical to the serial
+//! path: verification is a pure function of the checked bytes, only
+//! *where* it runs changes.
 
-use astro_crypto::schnorr::{batch_verify, find_invalid};
+use astro_crypto::schnorr::{batch_verify_prepared, find_invalid_prepared};
 use astro_obs::{Gauge, Histogram, Registry};
 use astro_types::{KeyBook, SigCheck, VerdictCache};
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -88,7 +93,7 @@ struct TicketInner {
 }
 
 impl Ticket {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Ticket(Arc::new(TicketInner { done: Mutex::new(false), cv: Condvar::new() }))
     }
 
@@ -113,7 +118,8 @@ impl Ticket {
 }
 
 struct Job {
-    items: Vec<SigCheck>,
+    /// The checks still unknown at submit time, with their cache keys.
+    items: Vec<(SigCheck, [u8; 32])>,
     ticket: Ticket,
 }
 
@@ -184,10 +190,19 @@ impl VerifyPool {
     }
 
     /// Submits one super-batch of checks; the returned ticket completes
-    /// when every verdict is cached. Workers steal whole jobs, so
+    /// when every verdict is cached. Checks whose verdict is already
+    /// cached are dropped first; if none is left, no job is queued and
+    /// the ticket is complete on return. Workers steal whole jobs, so
     /// distinct replicas' bursts verify concurrently.
     pub fn submit(&self, items: Vec<SigCheck>) -> Ticket {
         let ticket = Ticket::new();
+        let items: Vec<(SigCheck, [u8; 32])> = items
+            .into_iter()
+            .filter_map(|item| {
+                let key = item.cache_key();
+                self.cache.get(&key).is_none().then_some((item, key))
+            })
+            .collect();
         if items.is_empty() {
             ticket.complete();
             return ticket;
@@ -250,36 +265,36 @@ fn worker_main(
     }
 }
 
-/// Verifies one super-batch into the cache: resolve keys, skip verdicts
-/// already cached (a signature repeated across PREPARE and COMMIT, or
-/// re-sent by a peer, verifies once per process), batch-verify the rest
-/// as one multi-scalar multiplication, bisect on failure.
-fn verify_job(book: &KeyBook, cache: &VerdictCache, items: &[SigCheck]) {
+/// Verifies one super-batch into the cache: skip verdicts another job
+/// cached since submit (a signature repeated across PREPARE and COMMIT,
+/// or re-sent by a peer, verifies once per process), batch-verify the
+/// rest as one multi-scalar multiplication on the signers' kept tables,
+/// bisect on failure.
+fn verify_job(book: &KeyBook, cache: &VerdictCache, items: &[(SigCheck, [u8; 32])]) {
     let mut keys = Vec::with_capacity(items.len());
     let mut batch = Vec::with_capacity(items.len());
-    for item in items {
-        let key = item.cache_key();
-        if cache.get(&key).is_some() {
+    for (item, key) in items {
+        if cache.peek(key).is_some() {
             continue;
         }
-        match book.key_of(item.signer) {
+        match book.prepared_of(item.signer) {
             Some(pk) => {
-                keys.push(key);
-                batch.push((&item.context[..], *pk, item.sig));
+                keys.push(*key);
+                batch.push((&item.context[..], pk, item.sig));
             }
             // An unknown signer can never verify.
-            None => cache.insert(key, false),
+            None => cache.insert(*key, false),
         }
     }
     if batch.is_empty() {
         return;
     }
-    if batch_verify(&batch) {
+    if batch_verify_prepared(&batch) {
         for key in keys {
             cache.insert(key, true);
         }
     } else {
-        let invalid = find_invalid(&batch);
+        let invalid = find_invalid_prepared(&batch);
         for (i, key) in keys.into_iter().enumerate() {
             cache.insert(key, !invalid.contains(&i));
         }

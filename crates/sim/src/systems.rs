@@ -393,12 +393,11 @@ impl SimProtocol for AstroTwo<MacAuthenticator> {
                 inline: cpu.hash(size) + bundle.sig.encoded_len() as Nanos,
                 verify: cpu.verify_ns,
             },
-            // A CREDIT ack: point-to-point and consumed only by the donor,
-            // so pairwise MAC authentication suffices — unlike CREDIT
-            // bundles, whose signatures must be transferable because they
-            // end up inside dependency certificates shown to third
-            // parties. (The simulated replicas run `MacAuthenticator`, so
-            // the ack tag really is a MAC.)
+            // A CREDIT ack: unsigned, point-to-point and consumed only by
+            // the donor, so the authenticated link's MAC is its whole
+            // authentication — unlike CREDIT bundles, whose signatures
+            // must be transferable because they end up inside dependency
+            // certificates shown to third parties.
             Astro2Msg::CreditAck { .. } => DeliverCost::inline(cpu.hash(size) + cpu.mac_ns),
             // A replay request: bookkeeping only — the cost lands on the
             // retransmitted CREDITs it triggers.
@@ -459,7 +458,7 @@ impl Astro2System {
             .collect();
         // Acks and retransmission pace at a coarser interval than batch
         // cutting: a wider window accumulates more digests per
-        // destination into each signed CreditAck (fewer point-to-point
+        // destination into each CreditAck (fewer point-to-point
         // messages) at the cost of at most one extra window of ack
         // latency. Recovery after a restart is CreditRequest-replay
         // driven, so the coarser retransmit clock is safe.

@@ -141,6 +141,11 @@ pub const WAL_PREV_FILE: &str = "wal.prev.bin";
 /// *behind* [`WAL_FILE`] (they are the newest generation).
 pub const WAL_NEXT_FILE: &str = "wal.next.bin";
 
+/// Lock file within a replica's storage directory. A live [`Storage`]
+/// holds an exclusive lock on it ([`File::try_lock`]), so two stores can
+/// never append to one directory at once.
+pub const LOCK_FILE: &str = "store.lock";
+
 /// Durability tuning.
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
@@ -314,6 +319,10 @@ enum Backend {
         /// further rotation may run (appends continue, recovery is
         /// order-correct via the next-WAL merge, compaction has stopped).
         rotation_wedged: bool,
+        /// The exclusive lock on [`LOCK_FILE`]. Declared last, so it is
+        /// released only after the install worker has been joined and
+        /// the WAL writers closed.
+        _lock: File,
     },
     Memory {
         records: Vec<WalRecord>,
@@ -358,16 +367,20 @@ impl Storage {
     /// that fails to *decode* (CRC-valid but semantically foreign —
     /// version skew or software fault) cuts the log at that point too.
     ///
+    /// The store holds an exclusive lock on `dir` until it is dropped.
+    ///
     /// # Errors
     ///
-    /// Genuine IO errors, and `InvalidData` for a present-but-damaged
-    /// snapshot (recovering *past* it would silently lose state).
+    /// Genuine IO errors, `InvalidData` for a present-but-damaged
+    /// snapshot (recovering *past* it would silently lose state), and
+    /// `WouldBlock` when another live store holds `dir`.
     pub fn open(
         dir: impl Into<PathBuf>,
         cfg: StoreConfig,
     ) -> std::io::Result<(Storage, Recovered)> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
+        let lock = Storage::lock_dir(&dir)?;
         // A crash inside the install window (or an install failure) left
         // the rotated-out WAL behind: merge it back in front of the
         // current one so replay order is preserved.
@@ -405,6 +418,7 @@ impl Storage {
                     pending: false,
                     spare,
                     rotation_wedged: false,
+                    _lock: lock,
                 },
                 cfg,
                 install_failed: false,
@@ -413,6 +427,23 @@ impl Storage {
             },
             Recovered { snapshot, checkpoints, records },
         ))
+    }
+
+    /// Takes the exclusive lock on `dir`'s [`LOCK_FILE`].
+    fn lock_dir(dir: &Path) -> std::io::Result<File> {
+        let file = std::fs::OpenOptions::new()
+            .create(true)
+            .truncate(false)
+            .write(true)
+            .open(dir.join(LOCK_FILE))?;
+        match file.try_lock() {
+            Ok(()) => Ok(file),
+            Err(std::fs::TryLockError::WouldBlock) => Err(std::io::Error::new(
+                std::io::ErrorKind::WouldBlock,
+                format!("store directory {} is held by another live store", dir.display()),
+            )),
+            Err(std::fs::TryLockError::Error(e)) => Err(e),
+        }
     }
 
     /// An in-memory store with the same interface: nothing survives the
@@ -544,7 +575,7 @@ impl Storage {
                 self.note_install_result(false);
                 true
             }
-            Backend::Disk { dir, wal, worker, pending, spare, rotation_wedged } => {
+            Backend::Disk { dir, wal, worker, pending, spare, rotation_wedged, .. } => {
                 if *pending {
                     return false;
                 }
@@ -1058,6 +1089,20 @@ mod tests {
         let (_s, rec) = Storage::open(&dir, StoreConfig::default()).unwrap();
         assert!(rec.snapshot.is_none());
         assert_eq!(rec.records, (0..5).map(settle).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_live_store_locks_its_directory() {
+        let dir = tmp_dir("lock");
+        let (mut s, _) = Storage::open(&dir, StoreConfig::default()).unwrap();
+        s.append(&settle(0));
+        s.sync();
+        let err = Storage::open(&dir, StoreConfig::default()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock);
+        assert!(err.to_string().contains("held by another live store"), "{err}");
+        drop(s);
+        let (_s, rec) = Storage::open(&dir, StoreConfig::default()).expect("reopen after drop");
+        assert_eq!(rec.records, vec![settle(0)]);
     }
 
     #[test]

@@ -97,10 +97,16 @@ impl VerdictCache {
 
     /// The cached verdict for `key`, if any.
     pub fn get(&self, key: &[u8; 32]) -> Option<bool> {
-        let verdict = self.inner.lock().unwrap_or_else(|e| e.into_inner()).map.get(key).copied();
+        let verdict = self.peek(key);
         let counter = if verdict.is_some() { &self.hits } else { &self.misses };
         counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         verdict
+    }
+
+    /// [`get`](VerdictCache::get) without counting a hit or miss: for
+    /// re-checking a key whose first lookup was already counted.
+    pub fn peek(&self, key: &[u8; 32]) -> Option<bool> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner()).map.get(key).copied()
     }
 
     /// Lookups that found a cached verdict.
@@ -277,7 +283,7 @@ impl Authenticator for SchnorrAuthenticator {
         let mut items = Vec::with_capacity(sigs.len());
         let mut miss_keys = Vec::new();
         for (peer, sig) in sigs {
-            let Some(pk) = self.keychain.book().key_of(*peer) else { return false };
+            let Some(pk) = self.keychain.book().prepared_of(*peer) else { return false };
             if let Some(cache) = &self.cache {
                 let key = verdict_key(*peer, message, sig);
                 match cache.get(&key) {
@@ -286,12 +292,12 @@ impl Authenticator for SchnorrAuthenticator {
                     None => miss_keys.push(key),
                 }
             }
-            items.push((message, *pk, **sig));
+            items.push((message, pk, **sig));
         }
         if items.is_empty() {
             return true;
         }
-        let ok = astro_crypto::schnorr::batch_verify(&items);
+        let ok = astro_crypto::schnorr::batch_verify_prepared(&items);
         if ok {
             // A passing batch proves every member valid; a failing batch
             // only proves *some* member invalid, so no per-item verdicts
@@ -314,7 +320,7 @@ impl Authenticator for SchnorrAuthenticator {
         let mut item_index = Vec::with_capacity(sigs.len());
         let mut item_keys = Vec::with_capacity(sigs.len());
         for (i, (peer, sig)) in sigs.iter().enumerate() {
-            match self.keychain.book().key_of(*peer) {
+            match self.keychain.book().prepared_of(*peer) {
                 Some(pk) => {
                     if let Some(cache) = &self.cache {
                         let key = verdict_key(*peer, message, sig);
@@ -324,13 +330,13 @@ impl Authenticator for SchnorrAuthenticator {
                         }
                         item_keys.push(key);
                     }
-                    items.push((message, *pk, **sig));
+                    items.push((message, pk, **sig));
                     item_index.push(i);
                 }
                 None => ok[i] = false,
             }
         }
-        let invalid = astro_crypto::schnorr::find_invalid(&items);
+        let invalid = astro_crypto::schnorr::find_invalid_prepared(&items);
         if let Some(cache) = &self.cache {
             for (j, key) in item_keys.into_iter().enumerate() {
                 cache.insert(key, !invalid.contains(&j));
@@ -481,6 +487,33 @@ mod tests {
         let mut dup = good.clone();
         dup.push(good[0]);
         assert_eq!(count_valid_signers(&auths[0], msg, &dup, |_| true), 4);
+    }
+
+    #[test]
+    fn signatures_whose_r_is_off_the_curve_never_count() {
+        // Decoding leaves R compressed, so such a signature reaches the
+        // quorum check; verification must reject it, cached or not.
+        let chains = Keychain::deterministic_system(b"auth-off-curve", 4);
+        let auths: Vec<SchnorrAuthenticator> =
+            chains.iter().map(|kc| SchnorrAuthenticator::new(kc.clone())).collect();
+        let msg = b"certificate context";
+        let mut proof: Vec<(ReplicaId, astro_crypto::Signature)> =
+            auths.iter().map(|a| (a.me(), a.sign(msg))).collect();
+        let off_curve_x = (1u64..)
+            .map(astro_crypto::field::Fe::from_u64)
+            .find(|x| x.square().mul(x).add(&astro_crypto::field::Fe::SEVEN).sqrt().is_none())
+            .unwrap();
+        let mut bytes = proof[2].1.to_bytes();
+        bytes[1..33].copy_from_slice(&off_curve_x.to_be_bytes());
+        proof[2].1 = astro_crypto::Signature::from_bytes(&bytes).expect("R stays compressed");
+        let cached =
+            SchnorrAuthenticator::with_cache(chains[0].clone(), Arc::new(VerdictCache::new(64)));
+        for auth in [&auths[0], &cached, &cached] {
+            assert!(!auth.verify(ReplicaId(2), msg, &proof[2].1));
+            assert!(!auth.verify_all(msg, &by_ref(&proof)));
+            assert_eq!(auth.verify_each(msg, &by_ref(&proof)), [true, true, false, true]);
+            assert_eq!(count_valid_signers(auth, msg, &proof, |_| true), 3);
+        }
     }
 
     #[test]

@@ -11,19 +11,27 @@
 //! other pair's key material.
 
 use crate::ids::ReplicaId;
+use astro_crypto::schnorr::PreparedKey;
 use astro_crypto::{Keypair, MacKey, PublicKey, Signature};
+use std::sync::Arc;
 
 /// Public registry of replica verification keys.
+///
+/// Each key is a [`PreparedKey`]: its 7-bit wNAF table is built on the
+/// key's first verification (never at construction, so building a book
+/// or a cluster does no curve work) and is shared by every clone of the
+/// book — the replicas' keychains and a runtime verify pool built from
+/// one book pay for each table once.
 #[derive(Debug, Clone)]
 pub struct KeyBook {
-    replicas: Vec<PublicKey>,
+    replicas: Arc<[PreparedKey]>,
 }
 
 impl KeyBook {
     /// Builds a key book from the replicas' public keys, indexed by
     /// [`ReplicaId`] order.
     pub fn new(replicas: Vec<PublicKey>) -> Self {
-        KeyBook { replicas }
+        KeyBook { replicas: replicas.into_iter().map(PreparedKey::new).collect() }
     }
 
     /// Deterministic book for tests/simulation: replica `i` gets the key
@@ -52,13 +60,20 @@ impl KeyBook {
 
     /// The public key of `replica`, or `None` if unknown.
     pub fn key_of(&self, replica: ReplicaId) -> Option<&PublicKey> {
+        self.prepared_of(replica).map(PreparedKey::public)
+    }
+
+    /// The key of `replica` with its kept verification table, or `None`
+    /// if unknown. Batch checks take these
+    /// ([`astro_crypto::schnorr::batch_verify_prepared`]).
+    pub fn prepared_of(&self, replica: ReplicaId) -> Option<&PreparedKey> {
         self.replicas.get(replica.0 as usize)
     }
 
     /// Verifies `signature` over `message` against `replica`'s key.
     /// Unknown replicas verify as `false`.
     pub fn verify(&self, replica: ReplicaId, message: &[u8], signature: &Signature) -> bool {
-        self.key_of(replica).is_some_and(|pk| pk.verify(message, signature))
+        self.prepared_of(replica).is_some_and(|pk| pk.verify(message, signature))
     }
 }
 
@@ -166,6 +181,43 @@ mod tests {
         assert!(chains[0].verify(ReplicaId(2), b"hello", &sig));
         assert!(!chains[0].verify(ReplicaId(1), b"hello", &sig));
         assert!(!chains[0].verify(ReplicaId(2), b"other", &sig));
+    }
+
+    #[test]
+    fn tables_are_built_on_first_verify_and_shared_by_clones() {
+        let (book, keypairs) = KeyBook::deterministic(b"lazy-tables", 4);
+        let clone = book.clone();
+        let has_table = |i: u32| book.prepared_of(ReplicaId(i)).unwrap().has_table();
+        assert!((0..4).all(|i| !has_table(i)), "construction builds no table");
+        assert!(clone.verify(ReplicaId(2), b"m", &keypairs[2].sign(b"m")));
+        assert_eq!((0..4).map(has_table).collect::<Vec<_>>(), [false, false, true, false]);
+    }
+
+    #[test]
+    fn table_backed_verification_matches_the_raw_key() {
+        let (book, keypairs) = KeyBook::deterministic(b"book-oracle", 4);
+        let outsider = Keypair::from_seed(b"not in the book");
+        for (m, message) in [b"ack 1".as_slice(), b"credit 2", b""].into_iter().enumerate() {
+            for (s, signer) in keypairs.iter().chain([&outsider]).enumerate() {
+                let sig = signer.sign(message);
+                let forged = signer.sign(b"another message");
+                // Every claimed signer, including ids outside the book.
+                for claimed in 0..6u32 {
+                    let raw = |sig| {
+                        book.key_of(ReplicaId(claimed)).is_some_and(|pk| pk.verify(message, sig))
+                    };
+                    for sig in [&sig, &forged] {
+                        assert_eq!(
+                            book.verify(ReplicaId(claimed), message, sig),
+                            raw(sig),
+                            "message {m}, signer {s}, claimed {claimed}"
+                        );
+                    }
+                    let genuine = s as u32 == claimed && s < 4;
+                    assert_eq!(book.verify(ReplicaId(claimed), message, &sig), genuine);
+                }
+            }
+        }
     }
 
     #[test]

@@ -210,12 +210,13 @@ fn tcp_byzantine_donor_cannot_forge_acks_or_corrupt_credit_replay() {
     // Replica 3's machine is compromised after it helped settle: the
     // attacker holds its genuine transport and signing keys, takes over
     // its mesh seat, and tries to (a) discharge the honest donors' retry
-    // outboxes with forged CREDIT acks, (b) inflate balances with a
-    // well-signed CREDIT for money that never settled, (c) confuse the
+    // outboxes with CREDIT acks for entries destined to another replica
+    // (acks are unsigned: the authenticated link names their sender, and
+    // only an entry's destination may discharge it), (b) inflate balances
+    // with a well-signed CREDIT for money that never settled, (c) confuse the
     // restarted representative with corrupted, duplicated, and garbage
     // frames. None of it may stick: the honest donors' retransmit/replay
     // path alone must recover the beneficiary's certificates.
-    use astro_core::batch::credit_ack_context;
     use astro_net::{Endpoint, TcpEndpoint};
     use astro_obs::Registry;
     use astro_runtime::{demo_keychains, AstroTwoCluster};
@@ -285,20 +286,19 @@ fn tcp_byzantine_donor_cannot_forge_acks_or_corrupt_credit_replay() {
         }
     };
 
-    // (a) Forged acks: correctly signed by replica 3 over the *real*
-    // outbox digests — but the entries are destined to replica 1, and an
-    // ack only counts from its destination. Donors must keep retrying.
+    // (a) Misdirected acks: sent by replica 3 over its authenticated
+    // link, for the *real* outbox digests — but the entries are destined
+    // to replica 1, and an ack only counts from its destination. Donors
+    // must keep retrying.
     let digests: Vec<[u8; 32]> =
         wave.iter().map(|p| credit_context(&[*p]).as_slice().try_into().unwrap()).collect();
     for &donor in &[0u32, 2] {
         // One batched ack covering every digest, and one per digest —
         // neither form may discharge entries destined to replica 1.
-        let sig = byz_signer.sign(&credit_ack_context(&digests));
-        let ack = Msg::CreditAck { digests: digests.clone(), sig };
+        let ack = Msg::CreditAck { digests: digests.clone() };
         send_to(&mut byz, donor, &ack.to_wire_bytes());
         for digest in &digests {
-            let sig = byz_signer.sign(&credit_ack_context(std::slice::from_ref(digest)));
-            let ack = Msg::CreditAck { digests: vec![*digest], sig };
+            let ack = Msg::CreditAck { digests: vec![*digest] };
             send_to(&mut byz, donor, &ack.to_wire_bytes());
         }
     }
@@ -323,14 +323,14 @@ fn tcp_byzantine_donor_cannot_forge_acks_or_corrupt_credit_replay() {
     }
 
     // Give the donors time to process the attack, then check nothing
-    // stuck: no forged ack was accepted, every outbox entry survives.
+    // stuck: no misdirected ack was accepted, every outbox entry survives.
     std::thread::sleep(Duration::from_millis(600));
     let snap = registry.snapshot();
     for donor in [0, 2] {
         assert_eq!(
             snap.counter(&format!("core.r{donor}.credit_acks")).unwrap_or(0),
             0,
-            "donor {donor} accepted a forged ack"
+            "donor {donor} accepted a misdirected ack"
         );
         assert_eq!(
             snap.gauge(&format!("core.r{donor}.outbox_depth")),

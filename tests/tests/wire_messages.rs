@@ -86,10 +86,7 @@ fn astro2_messages_round_trip() {
         sig: sig(0),
     }));
     round_trip(&Astro2Msg::<SimSig>::Sync(ReconfigMsg::SyncRequest { settled: 7 }));
-    round_trip(&Astro2Msg::<SimSig>::CreditAck {
-        digests: vec![[0xab; 32], [0xcd; 32]],
-        sig: sig(2),
-    });
+    round_trip(&Astro2Msg::<SimSig>::CreditAck { digests: vec![[0xab; 32], [0xcd; 32]] });
     round_trip(&Astro2Msg::<SimSig>::CreditRequest { since: 42 });
 }
 
@@ -224,7 +221,7 @@ fn truncation_of_any_message_errors_cleanly() {
         BrachaMsg::Prepare { id: InstanceId { source: 0, tag: 0 }, payload: batch() }
             .to_wire_bytes(),
         Astro2Msg::<SimSig>::Credit(CreditBundle { bundle: vec![], sig: sig(1) }).to_wire_bytes(),
-        Astro2Msg::<SimSig>::CreditAck { digests: vec![[3; 32]], sig: sig(2) }.to_wire_bytes(),
+        Astro2Msg::<SimSig>::CreditAck { digests: vec![[3; 32]] }.to_wire_bytes(),
         PbftMsg::PrePrepare { view: 0, seq: 1, batch: batch() }.to_wire_bytes(),
     ];
     for bytes in encodings {
