@@ -16,8 +16,9 @@
 //!   drop means an algorithmic regression, not a slow runner), and a
 //!   batch must never be slower than checking one by one (absolute
 //!   floor 1.0; 1.12 for size 32, its floor before the baseline took in
-//!   R's decompression). Size 4 is the quorum-sized batch Astro II's
-//!   verify pool actually runs.
+//!   R's decompression). Size 4 is the scale of one quorum check at
+//!   n = 4: a COMMIT's 3-signature proof on Astro II's verify pool, or a
+//!   broadcaster's pending ACKs batch-checked on its replica thread.
 //! - `astro2/clients_512` and `astro2/clients_2048`
 //!   (`payments_per_sec`, fig4) — settled throughput must hold at ≥ 50%
 //!   of baseline (the simulator is deterministic; headroom covers the

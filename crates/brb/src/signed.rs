@@ -545,6 +545,36 @@ mod tests {
     }
 
     #[test]
+    fn acks_are_verified_only_while_they_can_count() {
+        // ACK signatures are checked only when a quorum is possible: a
+        // duplicate before it, and every ACK after the COMMIT left, is
+        // dropped without a single verification.
+        use crate::testkit::CountingAuth;
+        let cfg = Group::of_size(4).unwrap();
+        let chains = Keychain::deterministic_system(b"lazy-acks", 4);
+        let auths: Vec<SchnorrAuthenticator> =
+            chains.into_iter().map(SchnorrAuthenticator::new).collect();
+        let counting = CountingAuth::new(auths[0].clone());
+        let mut node0 = SignedBrb::<u64, _>::new(counting.clone(), cfg, BrbConfig::default());
+        let id = iid(0, 0);
+        let _prepare = node0.broadcast(id, 42);
+        let digest = payload_digest(id, &42u64);
+        let ctx = ack_context(id, &digest);
+        let ack = |i: usize| SignedMsg::Ack { id, digest, sig: auths[i].sign(&ctx) };
+        assert!(node0.handle(ReplicaId(0), ack(0)).is_empty());
+        assert!(node0.handle(ReplicaId(1), ack(1)).is_empty());
+        assert!(node0.handle(ReplicaId(1), ack(1)).is_empty(), "duplicate before quorum");
+        assert_eq!(counting.verify_calls(), 0, "no quorum possible yet");
+        let step = node0.handle(ReplicaId(2), ack(2));
+        assert!(matches!(step.outbound[..], [Envelope { msg: SignedMsg::Commit { .. }, .. }]));
+        assert_eq!(counting.verify_calls(), 1, "one batch check completes the quorum");
+        // The fourth ACK and a duplicate arrive after the COMMIT left.
+        assert!(node0.handle(ReplicaId(3), ack(3)).is_empty());
+        assert!(node0.handle(ReplicaId(1), ack(1)).is_empty());
+        assert_eq!(counting.verify_calls(), 1, "late ACKs are dropped unverified");
+    }
+
+    #[test]
     fn dropped_forged_ack_signer_may_reack_correctly() {
         // After the fallback drops a forged ACK, a later valid ACK from
         // the same replica is accepted (the forgery is not remembered

@@ -241,3 +241,55 @@ impl<P: crate::Payload, A: astro_types::Authenticator> TestNode for crate::signe
         self.handle(from, msg)
     }
 }
+
+/// An [`Authenticator`](astro_types::Authenticator) that counts its
+/// `verify*` calls and delegates everything to `A` — how tests show that a
+/// path decides without touching a signature. Clones share the count.
+#[derive(Debug, Clone)]
+pub struct CountingAuth<A> {
+    inner: A,
+    calls: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+}
+
+impl<A> CountingAuth<A> {
+    /// Wraps `inner` with a fresh count.
+    pub fn new(inner: A) -> Self {
+        CountingAuth { inner, calls: Default::default() }
+    }
+
+    /// `verify`, `verify_all` and `verify_each` calls so far.
+    pub fn verify_calls(&self) -> usize {
+        self.calls.load(std::sync::atomic::Ordering::Relaxed)
+    }
+
+    fn count(&self) {
+        self.calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    }
+}
+
+impl<A: astro_types::Authenticator> astro_types::Authenticator for CountingAuth<A> {
+    type Sig = A::Sig;
+
+    fn me(&self) -> ReplicaId {
+        self.inner.me()
+    }
+
+    fn sign(&self, message: &[u8]) -> A::Sig {
+        self.inner.sign(message)
+    }
+
+    fn verify(&self, peer: ReplicaId, message: &[u8], sig: &A::Sig) -> bool {
+        self.count();
+        self.inner.verify(peer, message, sig)
+    }
+
+    fn verify_all(&self, message: &[u8], sigs: &[(ReplicaId, &A::Sig)]) -> bool {
+        self.count();
+        self.inner.verify_all(message, sigs)
+    }
+
+    fn verify_each(&self, message: &[u8], sigs: &[(ReplicaId, &A::Sig)]) -> Vec<bool> {
+        self.count();
+        self.inner.verify_each(message, sigs)
+    }
+}

@@ -174,28 +174,39 @@ impl<S: Wire> Wire for Astro2Msg<S> {
     }
 }
 
-/// Enumerates every Schnorr signature check that handling `msg` can
-/// trigger at a receiving replica — the runtime verify pool's work list.
+/// Enumerates the Schnorr signature checks the runtime verify pool runs
+/// ahead of the state machine for `msg` — the signatures every receiving
+/// replica must check.
 ///
 /// The pool pre-verifies these off the replica thread into the shared
 /// [`astro_types::VerdictCache`]; by the time the state machine reaches
-/// its `verify_all` / [`astro_types::count_valid_signers`] calls, the
-/// verdicts are cache hits and the event loop never blocks on curve
-/// arithmetic. Enumerating is sound because verification is a pure
-/// function of `(signer, context, signature)`: pre-verifying a check the
-/// state machine never consults wastes pool cycles but cannot change any
-/// transition.
+/// its [`astro_types::count_valid_signers`] calls, the verdicts are cache
+/// hits and the event loop never blocks on curve arithmetic. Enumerating
+/// is sound because verification is a pure function of `(signer, context,
+/// signature)`: the list only decides *where* a check runs, never what it
+/// decides.
 ///
-/// - `Ack` — the accumulated-ACK batch check ([`SignedBrb`]'s quorum
-///   path) covers the ack context.
-/// - `Commit` — the `2f+1` quorum proof covers the ack context; attached
-///   dependency certificates are checked at settlement.
+/// - `Commit` — the `2f+1` quorum proof over the ack context, plus the
+///   attached dependency certificates (checked at settlement).
 /// - `Prepare` — the attached dependency certificates again: they will be
 ///   checked when the instance *commits*, so pre-verifying at PREPARE
 ///   hides the certificate work behind the ACK round-trip.
-/// - `Credit` — one signature over the sub-batch digest.
+///
+/// ACK and CREDIT signatures are left to the state machine, which checks
+/// them only while they can still count: [`SignedBrb`] drops duplicate
+/// and post-commit ACKs unread and batch-verifies the pending ones once a
+/// quorum is possible, and a representative acks a CREDIT for an
+/// already-covered bundle without verifying it. At `n = 4` the last ACK
+/// and most remote CREDITs arrive after their quorum is complete, so
+/// pre-verifying them would be curve work nobody consumes. The verdicts
+/// the state machine does compute land in the same cache, so the COMMIT
+/// proofs and certificates built from them are hits wherever they are
+/// checked again in this process.
+///
+/// The link-authenticated sender is unused: every check left names its
+/// signer inside the message.
 pub fn sig_checks(
-    from: ReplicaId,
+    _from: ReplicaId,
     msg: &Astro2Msg<astro_crypto::Signature>,
 ) -> Vec<astro_types::SigCheck> {
     use astro_brb::payload_digest;
@@ -224,13 +235,6 @@ pub fn sig_checks(
     };
     match msg {
         Astro2Msg::Brb(SignedMsg::Prepare { payload, .. }) => push_certs(&mut out, payload),
-        Astro2Msg::Brb(SignedMsg::Ack { id, digest, sig }) => {
-            out.push(SigCheck {
-                signer: from,
-                context: ack_context(*id, digest).into(),
-                sig: *sig,
-            });
-        }
         Astro2Msg::Brb(SignedMsg::Commit { id, payload, proof }) => {
             let context: std::sync::Arc<[u8]> =
                 ack_context(*id, &payload_digest(*id, payload)).into();
@@ -243,19 +247,16 @@ pub fn sig_checks(
             }
             push_certs(&mut out, payload);
         }
-        Astro2Msg::Credit(cb) => {
-            out.push(SigCheck {
-                signer: from,
-                context: credit_context(&cb.bundle).into(),
-                sig: cb.sig,
-            });
-        }
-        // Catch-up traffic certifies by f+1 matching digests over the
-        // authenticated links — nothing for the verify pool. A
-        // CreditRequest carries no signature: over-replay it could induce
-        // is already harmless. A CreditAck counts only from the
-        // destination the link authenticates.
-        Astro2Msg::Sync(_) | Astro2Msg::CreditRequest { .. } | Astro2Msg::CreditAck { .. } => {}
+        // ACKs and CREDITs verify lazily in the state machine (see
+        // above). Catch-up traffic certifies by f+1 matching digests over
+        // the authenticated links. A CreditRequest carries no signature:
+        // over-replay it could induce is already harmless. A CreditAck
+        // counts only from the destination the link authenticates.
+        Astro2Msg::Brb(SignedMsg::Ack { .. })
+        | Astro2Msg::Credit(_)
+        | Astro2Msg::Sync(_)
+        | Astro2Msg::CreditRequest { .. }
+        | Astro2Msg::CreditAck { .. } => {}
     }
     out
 }
@@ -1447,7 +1448,11 @@ mod tests {
     }
 
     /// Submits a payment at its representative.
-    fn pay(c: &mut PaymentCluster<Replica>, layout: &ShardLayout, p: Payment) {
+    fn pay<A: Authenticator>(
+        c: &mut PaymentCluster<AstroTwoReplica<A>>,
+        layout: &ShardLayout,
+        p: Payment,
+    ) {
         let rep = layout.representative_of(p.spender);
         let step = c.node_mut(rep.0 as usize).submit(p).expect("representative accepts");
         c.submit_step(rep, step);
@@ -1850,6 +1855,191 @@ mod tests {
             );
             assert_eq!(c.node(i).stuck_clients().count(), 0, "replica {i} must not stick");
         }
+    }
+
+    type Counted = AstroTwoReplica<astro_brb::testkit::CountingAuth<MacAuthenticator>>;
+
+    /// A four-replica shard whose authenticators count their `verify*`
+    /// calls; the counters are returned in replica order.
+    fn counted_cluster(
+    ) -> (PaymentCluster<Counted>, Vec<astro_brb::testkit::CountingAuth<MacAuthenticator>>) {
+        let layout = ShardLayout::single(4).unwrap();
+        let auths: Vec<_> = (0..4)
+            .map(|i| {
+                astro_brb::testkit::CountingAuth::new(MacAuthenticator::new(
+                    ReplicaId(i),
+                    b"astro2".to_vec(),
+                ))
+            })
+            .collect();
+        let c = PaymentCluster::new(auths.iter().map(|a| {
+            AstroTwoReplica::new(a.clone(), layout.clone(), cfg(CreditMode::Certificates))
+        }));
+        (c, auths)
+    }
+
+    /// Installs a filter that withholds the first message from `from` to
+    /// `to` matching `pick` and hands it back through the returned cell.
+    fn withhold<M: Clone + 'static>(
+        c: &mut PaymentCluster<impl crate::testkit::PaymentNode<Msg = M>>,
+        from: ReplicaId,
+        to: ReplicaId,
+        pick: fn(&M) -> bool,
+    ) -> std::rc::Rc<std::cell::RefCell<Option<M>>> {
+        let held = std::rc::Rc::new(std::cell::RefCell::new(None));
+        let slot = std::rc::Rc::clone(&held);
+        c.set_filter(move |f, t, msg| {
+            if f == from && t == to && pick(msg) && slot.borrow().is_none() {
+                *slot.borrow_mut() = Some(msg.clone());
+                return false;
+            }
+            true
+        });
+        held
+    }
+
+    #[test]
+    fn ack_after_the_commit_left_costs_no_verification() {
+        let layout = ShardLayout::single(4).unwrap();
+        let (mut c, auths) = counted_cluster();
+        let rep = layout.representative_of(ClientId(0));
+        let late = ReplicaId((rep.0 + 1) % 4);
+        let held =
+            withhold(&mut c, late, rep, |m| matches!(m, Astro2Msg::Brb(SignedMsg::Ack { .. })));
+        pay(&mut c, &layout, Payment::new(0u64, 0u64, 1u64, 30u64));
+        c.run_to_quiescence();
+        for i in 0..4 {
+            assert_eq!(c.settled(i).len(), 1, "replica {i}: a quorum formed without {late:?}");
+        }
+        let ack = held.borrow_mut().take().expect("the late ACK was withheld");
+        let before = auths[rep.0 as usize].verify_calls();
+        let step = c.node_mut(rep.0 as usize).handle(late, ack);
+        assert!(step.outbound.is_empty() && step.settled.is_empty());
+        assert_eq!(auths[rep.0 as usize].verify_calls(), before, "late ACK dropped unverified");
+    }
+
+    #[test]
+    fn credit_for_a_covered_bundle_is_acked_without_verification() {
+        let layout = ShardLayout::single(4).unwrap();
+        let (mut c, auths) = counted_cluster();
+        let rep1 = layout.representative_of(ClientId(1));
+        let late = ReplicaId((rep1.0 + 1) % 4);
+        let held = withhold(&mut c, late, rep1, |m| matches!(m, Astro2Msg::Credit(_)));
+        let p = Payment::new(0u64, 0u64, 1u64, 30u64);
+        pay(&mut c, &layout, p);
+        c.run_to_quiescence();
+        let idx = rep1.0 as usize;
+        assert_eq!(c.node(idx).held_certificates(ClientId(1)), 1, "certified without {late:?}");
+        let credit = held.borrow_mut().take().expect("the late CREDIT was withheld");
+        let before = auths[idx].verify_calls();
+        let step = c.node_mut(idx).handle(late, credit);
+        assert!(step.outbound.is_empty());
+        assert_eq!(auths[idx].verify_calls(), before, "covered CREDIT acked unverified");
+        // The ack is owed all the same: it leaves on the next flush tick.
+        let key: [u8; 32] = credit_context(&[p]).as_slice().try_into().unwrap();
+        let acked = c.node_mut(idx).flush().outbound.into_iter().any(|env| {
+            env.to == Dest::One(late)
+                && matches!(&env.msg, Astro2Msg::CreditAck { digests } if digests.contains(&key))
+        });
+        assert!(acked, "the sender must stop retransmitting");
+    }
+
+    #[test]
+    fn forged_credit_arriving_first_is_dropped_and_the_certificate_still_forms() {
+        // The CREDIT twin of signed.rs's forged-ACK test: a Byzantine
+        // settler's forgery reaches the representative before any genuine
+        // CREDIT; it is rejected on arrival, never held as a proof, and the
+        // honest settlers alone still certify the bundle.
+        use astro_types::{Keychain, SchnorrAuthenticator};
+        let layout = ShardLayout::single(4).unwrap();
+        let chains = Keychain::deterministic_system(b"forged-credit-first", 4);
+        let auths: Vec<SchnorrAuthenticator> =
+            chains.into_iter().map(SchnorrAuthenticator::new).collect();
+        let mut c = PaymentCluster::new(auths.iter().map(|a| {
+            AstroTwoReplica::new(a.clone(), layout.clone(), cfg(CreditMode::Certificates))
+        }));
+        let rep1 = layout.representative_of(ClientId(1));
+        let byz = ReplicaId((rep1.0 + 2) % 4);
+        // The Byzantine settler's genuine CREDITs never arrive.
+        c.set_filter(move |from, to, msg| {
+            !(from == byz && to == rep1 && matches!(msg, Astro2Msg::Credit(_)))
+        });
+        let p = Payment::new(0u64, 0u64, 1u64, 30u64);
+        let ctx = credit_context(&[p]);
+        let forged = auths[byz.0 as usize].sign(b"not the credit context");
+        let idx = rep1.0 as usize;
+        let step = c
+            .node_mut(idx)
+            .handle(byz, Astro2Msg::Credit(CreditBundle { bundle: vec![p], sig: forged }));
+        assert!(step.outbound.is_empty());
+        let key: [u8; 32] = ctx.as_slice().try_into().unwrap();
+        assert!(!c.node(idx).proto.partial.contains_key(&key), "a forgery is never held");
+        pay(&mut c, &layout, p);
+        c.run_to_quiescence();
+        assert_eq!(c.node(idx).held_certificates(ClientId(1)), 1);
+        assert_eq!(c.node(idx).available_balance(ClientId(1)), Amount(130));
+        let cert = &c.node(idx).proto.rep_deps[&ClientId(1)][0];
+        assert!(cert.proofs.iter().all(|(r, _)| *r != byz), "the forger is not a signer");
+        for (signer, sig) in &cert.proofs {
+            assert!(auths[0].verify(*signer, &ctx, sig), "proof by {signer:?} verifies");
+        }
+    }
+
+    #[test]
+    fn sig_checks_leave_acks_and_credits_to_the_state_machine() {
+        use astro_brb::payload_digest;
+        use astro_brb::signed::ack_context;
+        use astro_types::Keychain;
+        type Msg = Astro2Msg<astro_crypto::Signature>;
+        let chains = Keychain::deterministic_system(b"sig-checks", 4);
+        let bundle = vec![Payment::new(4u64, 0u64, 1u64, 5u64)];
+        let credit_ctx = credit_context(&bundle);
+        let cert = DependencyCertificate {
+            bundle: bundle.clone(),
+            proofs: vec![
+                (ReplicaId(1), chains[1].sign(&credit_ctx)),
+                (ReplicaId(2), chains[2].sign(&credit_ctx)),
+            ],
+        };
+        let payload = DepBatch {
+            entries: vec![DepPayment {
+                payment: Payment::new(1u64, 0u64, 2u64, 120u64),
+                deps: vec![cert.clone()],
+            }],
+        };
+        let id = InstanceId { source: 1, tag: 0 };
+        let ack_ctx = ack_context(id, &payload_digest(id, &payload));
+        let proof: Vec<(ReplicaId, astro_crypto::Signature)> =
+            (0..3).map(|i| (ReplicaId(i), chains[i as usize].sign(&ack_ctx))).collect();
+        let listed = |msg: &Msg| -> Vec<(ReplicaId, Vec<u8>, astro_crypto::Signature)> {
+            sig_checks(ReplicaId(3), msg)
+                .into_iter()
+                .map(|c| (c.signer, c.context.to_vec(), c.sig))
+                .collect()
+        };
+        let cert_checks: Vec<_> =
+            cert.proofs.iter().map(|(r, s)| (*r, credit_ctx.clone(), *s)).collect();
+        let mut commit_checks: Vec<_> =
+            proof.iter().map(|(r, s)| (*r, ack_ctx.clone(), *s)).collect();
+        commit_checks.extend(cert_checks.clone());
+
+        let none: Vec<Msg> = vec![
+            Astro2Msg::Brb(SignedMsg::Ack {
+                id,
+                digest: payload_digest(id, &payload),
+                sig: chains[3].sign(&ack_ctx),
+            }),
+            Astro2Msg::Credit(CreditBundle { bundle, sig: chains[3].sign(&credit_ctx) }),
+            Astro2Msg::CreditAck { digests: vec![[1; 32]] },
+            Astro2Msg::CreditRequest { since: 0 },
+        ];
+        for msg in &none {
+            assert!(listed(msg).is_empty(), "{msg:?} verifies in the state machine");
+        }
+        let prepare = Astro2Msg::Brb(SignedMsg::Prepare { id, payload: payload.clone() });
+        assert_eq!(listed(&prepare), cert_checks, "PREPARE: the certificate proofs");
+        let commit = Astro2Msg::Brb(SignedMsg::Commit { id, payload, proof });
+        assert_eq!(listed(&commit), commit_checks, "COMMIT: the quorum proof, then certificates");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! Provides exactly what the two Astro variants need (paper §IV):
 //!
-//! - [`sha256`]: SHA-256 (FIPS 180-4) — message digests, payment hashing.
+//! - [`sha256`](mod@sha256): SHA-256 (FIPS 180-4) — message digests, payment hashing.
 //! - [`hmac`]: HMAC-SHA256 — MAC-authenticated links for Astro I's Bracha
 //!   broadcast.
 //! - [`schnorr`]: key-prefixed Schnorr signatures over secp256k1 — the ACK /

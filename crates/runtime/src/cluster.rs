@@ -44,7 +44,7 @@ pub trait Hosted: Protocol<Msg: Wire + Send + 'static, Config: Clone> + 'static 
     /// over `signing[i]` that shares `pool`'s verdict cache.
     fn replica_key(i: usize, signing: &[Keychain], pool: Option<&VerifyPool>) -> Self::Key;
 
-    /// The signature checks handling `msg` would trigger; see
+    /// The signature checks of `msg` to pre-verify on the pool; see
     /// [`RuntimeNode::preverify`]. Default: none.
     fn preverify(from: ReplicaId, msg: &Self::Msg) -> Vec<astro_types::SigCheck> {
         let _ = (from, msg);

@@ -79,8 +79,9 @@ const POLL_SLICE: Duration = Duration::from_millis(1);
 /// Maximum inbound messages processed per cork window. Bounds how long a
 /// replica defers its flush timer under sustained inbound pressure. With
 /// a verify pool attached, one burst is also the scope of a verification
-/// super-batch: every signature the burst carries — ACKs, commit proofs,
-/// certificates, across all BRB instances — verifies as one job.
+/// super-batch: the commit proofs and certificates the burst carries,
+/// across all BRB instances, verify as one job (ACKs and CREDITs verify
+/// on the replica thread, only while they can still count).
 const BURST: usize = 128;
 
 /// With a verify pool, how many inbound messages may sit awaiting their
@@ -268,8 +269,9 @@ pub trait RuntimeNode: Send + 'static {
     /// simulation. Default: nothing.
     fn stopping(&mut self) {}
 
-    /// The Schnorr signature checks handling `msg` would trigger, for
-    /// pre-verification by the cluster's [`VerifyPool`]. A node whose
+    /// The Schnorr signature checks of `msg` that the cluster's
+    /// [`VerifyPool`] should run ahead of [`handle`](Self::handle); any
+    /// other check runs inside `handle`, on this thread. A node whose
     /// messages carry no pool-verifiable signatures (Astro I's
     /// MAC-authenticated traffic) returns none and the pool is bypassed.
     fn preverify(&self, from: ReplicaId, msg: &Self::Msg) -> Vec<astro_types::SigCheck> {
@@ -489,7 +491,7 @@ impl Cluster {
     }
 
     /// Spawns the gray-failure health tick
-    /// ([`HealthMonitor`](astro_obs::HealthMonitor)): every `interval`
+    /// ([`astro_obs::HealthMonitor`]): every `interval`
     /// it snapshots the registry, feeds the
     /// [`HealthEngine`](astro_obs::HealthEngine), and publishes
     /// `health.*` gauges plus flight-recorder transition events. The
@@ -841,11 +843,12 @@ fn replica_main<N: RuntimeNode, E: Endpoint>(
                     }
                 }
                 Some(pool) => {
-                    // Pipelined path: decode the whole burst, submit every
-                    // signature it carries as ONE super-batch (all pending
-                    // BRB instances amortize into a single multi-scalar
-                    // multiplication on a worker), park the messages, and
-                    // keep draining transport while the pool verifies.
+                    // Pipelined path: decode the whole burst, submit the
+                    // commit proofs and certificates it carries as ONE
+                    // super-batch (all pending BRB instances amortize into
+                    // a single multi-scalar multiplication on a worker),
+                    // park the messages, and keep draining transport while
+                    // the pool verifies.
                     let mut checks: Vec<astro_types::SigCheck> = Vec::new();
                     let mut burst: Vec<(ReplicaId, N::Msg)> = Vec::new();
                     let mut take = |from: ReplicaId, bytes: &[u8]| {

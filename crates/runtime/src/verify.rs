@@ -2,14 +2,17 @@
 //!
 //! A [`VerifyPool`] owns a fixed set of verifier threads shared by every
 //! replica thread of a [`crate::Cluster`]. The replica's event loop
-//! ([`crate::RuntimeNode::preverify`]) enumerates the signature checks an
-//! inbound burst of messages will trigger and submits them as **one
-//! super-batch job** — ACK signatures, commit quorum proofs, and
-//! dependency-certificate proofs across *all* pending BRB instances of the
-//! burst amortize into a single Schnorr batch verification (one
-//! multi-scalar multiplication) on a worker thread, with
-//! [`astro_crypto::schnorr::find_invalid`] bisection locating forgeries on
-//! failure.
+//! ([`crate::RuntimeNode::preverify`]) enumerates the signature checks
+//! every receiver of an inbound burst must run and submits them as **one
+//! super-batch job** — commit quorum proofs and dependency-certificate
+//! proofs across *all* pending BRB instances of the burst amortize into a
+//! single Schnorr batch verification (one multi-scalar multiplication) on
+//! a worker thread, with [`astro_crypto::schnorr::find_invalid`]
+//! bisection locating forgeries on failure. Signatures only a quorum
+//! consumes — Astro II's ACKs and CREDITs — are not enumerated: the state
+//! machine verifies them on the replica thread while they can still
+//! count and drops the late ones unread (see
+//! [`astro_core::astro2::sig_checks`]).
 //!
 //! Verdicts land in a shared [`VerdictCache`] keyed by the digest of
 //! `(signer, context, signature)`. The cache is consulted first at submit
@@ -18,7 +21,8 @@
 //! worker, so its messages are handled in the same loop iteration. The
 //! replica's [`astro_types::SchnorrAuthenticator`] consults the cache
 //! again before any curve work, so by the time a message is handled its
-//! signatures cost a hash lookup. Workers verify against the key book's
+//! pre-verified signatures cost a hash lookup, and the verdicts the state
+//! machine computes itself land in the same cache. Workers verify against the key book's
 //! kept per-signer tables ([`KeyBook::prepared_of`]). The event loop
 //! keeps draining transport while workers verify — curve arithmetic
 //! overlaps I/O and scales with cores — and messages re-enter the
@@ -138,6 +142,10 @@ struct PoolObs {
     verdict_hits: Gauge,
     /// Verdict-cache misses observed so far (sampled after each job).
     verdict_misses: Gauge,
+    /// Distinct verdicts the cache has stored so far — signatures the
+    /// process had to check, on a worker or on a replica thread (sampled
+    /// after each job).
+    verdicts_computed: Gauge,
 }
 
 /// A fixed pool of verifier threads plus the verdict cache they fill.
@@ -171,8 +179,9 @@ impl VerifyPool {
     }
 
     /// Resolves the pool's `verify.*` metric handles from `registry`;
-    /// queue depth, super-batch sizes and latencies, and verdict-cache
-    /// hit rates are recorded from here on. First attach wins.
+    /// queue depth, super-batch sizes and latencies, verdict-cache hit
+    /// rates and the count of verdicts computed are recorded from here
+    /// on. First attach wins.
     pub fn attach_registry(&self, registry: &Registry) {
         let _ = self.obs.set(PoolObs {
             queue_depth: registry.gauge("verify.queue_depth"),
@@ -180,6 +189,7 @@ impl VerifyPool {
             batch_nanos: registry.histogram("verify.batch_nanos"),
             verdict_hits: registry.gauge("verify.verdict_cache_hits"),
             verdict_misses: registry.gauge("verify.verdict_cache_misses"),
+            verdicts_computed: registry.gauge("verify.verdicts_computed"),
         });
     }
 
@@ -258,6 +268,7 @@ fn worker_main(
                 o.batch_nanos.record(started.elapsed().as_nanos() as u64);
                 o.verdict_hits.set(cache.hits());
                 o.verdict_misses.set(cache.misses());
+                o.verdicts_computed.set(cache.computed());
             }
             None => verify_job(book, cache, &items),
         }
@@ -354,6 +365,25 @@ mod tests {
         assert_eq!(auth.verify_each(context, &refs), [true, false, true, true]);
         let serial = SchnorrAuthenticator::new(chains[0].clone());
         assert_eq!(auth.verify_each(context, &refs), serial.verify_each(context, &refs));
+    }
+
+    #[test]
+    fn pool_exports_the_verdicts_it_computed() {
+        let chains = Keychain::deterministic_system(b"pool-computed", 4);
+        let pool = VerifyPool::start(1, chains[0].book().clone());
+        let registry = Registry::new();
+        pool.attach_registry(&registry);
+        pool.submit(checks_from(&chains, b"first")).wait();
+        // A resubmission is answered from the cache at submit time.
+        pool.submit(checks_from(&chains, b"first")).wait();
+        // A replica thread's own verdict lands in the same cache and
+        // shows in the next job's reading.
+        let auth = SchnorrAuthenticator::with_cache(chains[0].clone(), pool.cache());
+        assert!(auth.verify(chains[1].id(), b"inline", &chains[1].sign(b"inline")));
+        pool.submit(checks_from(&chains, b"second")).wait();
+        let snap = registry.snapshot();
+        assert_eq!(snap.gauge("verify.verdicts_computed"), Some(9));
+        assert_eq!(pool.cache().computed(), 9);
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub struct CpuModel {
     pub overhead_ns: Nanos,
     /// Per-request ordering overhead in the consensus baseline (request
     /// validation, MAC vector handling, Java-runtime serialization —
-    /// see "Can 100 Machines Agree?", paper ref [40]).
+    /// see "Can 100 Machines Agree?", paper ref \[40\]).
     pub consensus_request_ns: Nanos,
     /// Per-node state to serialize during reconfiguration state transfer,
     /// per byte.

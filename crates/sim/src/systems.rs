@@ -361,9 +361,14 @@ impl SimProtocol for AstroTwo<MacAuthenticator> {
     }
 
     fn deliver_cost(msg: &Self::Msg, cpu: &CpuModel) -> DeliverCost {
-        // Signature verification is the offloadable share (the runtime's
-        // verify pool pre-verifies it on worker threads); hashing,
-        // signing replies, and bookkeeping stay on the event loop.
+        // Signature verification is the offloadable share; hashing,
+        // signing replies, and bookkeeping stay on the event loop. The
+        // runtime's verify pool pre-verifies only commit proofs and
+        // certificates; it verifies ACKs and CREDITs on the replica
+        // thread, only while they can still count, and drops late ones
+        // unread. The model below still charges every ACK and CREDIT one
+        // offloadable verification, which overstates the runtime's
+        // signature work (ROADMAP item 1).
         let size = msg.encoded_len();
         let dep_sigs = |payload: &astro_core::batch::DepBatch<_>| -> usize {
             payload.entries.iter().flat_map(|e| e.deps.iter()).map(|c| c.proofs.len()).sum()
@@ -376,7 +381,8 @@ impl SimProtocol for AstroTwo<MacAuthenticator> {
                 inline: cpu.hash(size) + cpu.sign_ns,
                 verify: cpu.batch_verify(dep_sigs(payload)),
             },
-            // Receiving an ACK: verify one signature.
+            // Receiving an ACK: verify one signature (the runtime skips
+            // ACKs that arrive after their quorum; not modelled).
             Astro2Msg::Brb(SignedMsg::Ack { .. }) => {
                 DeliverCost { inline: 0, verify: cpu.verify_ns }
             }
@@ -388,7 +394,9 @@ impl SimProtocol for AstroTwo<MacAuthenticator> {
                 inline: cpu.hash(size),
                 verify: cpu.batch_verify(proof.len() + dep_sigs(payload)),
             },
-            // Receiving a CREDIT sub-batch: hash + one verification.
+            // Receiving a CREDIT sub-batch: hash + one verification (the
+            // runtime skips CREDITs for already-covered bundles; not
+            // modelled).
             Astro2Msg::Credit(bundle) => DeliverCost {
                 inline: cpu.hash(size) + bundle.sig.encoded_len() as Nanos,
                 verify: cpu.verify_ns,

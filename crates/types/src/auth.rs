@@ -76,6 +76,7 @@ pub struct VerdictCache {
     cap: usize,
     hits: std::sync::atomic::AtomicU64,
     misses: std::sync::atomic::AtomicU64,
+    computed: std::sync::atomic::AtomicU64,
 }
 
 #[derive(Debug)]
@@ -92,6 +93,7 @@ impl VerdictCache {
             cap: cap.max(1),
             hits: std::sync::atomic::AtomicU64::new(0),
             misses: std::sync::atomic::AtomicU64::new(0),
+            computed: std::sync::atomic::AtomicU64::new(0),
         }
     }
 
@@ -119,11 +121,19 @@ impl VerdictCache {
         self.misses.load(std::sync::atomic::Ordering::Relaxed)
     }
 
+    /// Distinct verdicts stored so far: the signatures this process had
+    /// to check, wherever the check ran. A verdict evicted and later
+    /// recomputed counts again.
+    pub fn computed(&self) -> u64 {
+        self.computed.load(std::sync::atomic::Ordering::Relaxed)
+    }
+
     /// Records a verdict (first write wins; verification is deterministic,
     /// so concurrent writers agree).
     pub fn insert(&self, key: [u8; 32], ok: bool) {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         if inner.map.insert(key, ok).is_none() {
+            self.computed.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             inner.order.push_back(key);
             if inner.order.len() > self.cap {
                 if let Some(evicted) = inner.order.pop_front() {
@@ -514,6 +524,27 @@ mod tests {
             assert_eq!(auth.verify_each(msg, &by_ref(&proof)), [true, true, false, true]);
             assert_eq!(count_valid_signers(auth, msg, &proof, |_| true), 3);
         }
+    }
+
+    #[test]
+    fn verdict_cache_counts_each_distinct_verdict_once() {
+        let chains = Keychain::deterministic_system(b"auth-computed", 4);
+        let cache = Arc::new(VerdictCache::new(2));
+        let auth = SchnorrAuthenticator::with_cache(chains[0].clone(), Arc::clone(&cache));
+        let msg = b"ack context";
+        let sigs: Vec<(ReplicaId, astro_crypto::Signature)> =
+            chains.iter().map(|kc| (kc.id(), kc.sign(msg))).collect();
+        assert!(auth.verify(sigs[1].0, msg, &sigs[1].1));
+        assert!(auth.verify(sigs[1].0, msg, &sigs[1].1), "a hit computes nothing");
+        assert_eq!(cache.computed(), 1);
+        cache.insert([7; 32], true);
+        cache.insert([7; 32], true);
+        assert_eq!(cache.computed(), 2, "a re-inserted key is not a new verdict");
+        // Evicted verdicts are recomputed and count again.
+        assert!(auth.verify_all(msg, &by_ref(&sigs[2..])));
+        assert!(auth.verify(sigs[1].0, msg, &sigs[1].1));
+        assert_eq!(cache.computed(), 5);
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]
